@@ -215,6 +215,7 @@ DifferentialResult run_differential(const CaseSpec& spec,
     }
     return res;
   }
+  res.lu_schur_dense = solver->stats().lu_schur_dense;
 
   // Stage checks on the factored solver. With drops enabled the discarded
   // W̃/G̃ mass is amplified by Ũ_ℓ⁻¹/L̃_ℓ⁻¹ on its way into T̃ = W̃G̃, so the

@@ -46,6 +46,8 @@ struct DifferentialResult {
   std::string solver_error;
   double condition_estimate = 0.0;
   bool all_converged = false;
+  /// LU(S̃) of the factored pipeline took the dense root (direct/dense_lu).
+  bool lu_schur_dense = false;
   index_t n = 0;  // actual unknown count after family rounding
 
   [[nodiscard]] bool ok() const { return report.ok(); }

@@ -233,30 +233,37 @@ void SchurSolver::factor() {
   }
   stats_.subdomain_wall_seconds = timer.seconds();
 
+  // The gather and LU(S̃) each run alone, so they may use the whole
+  // outer × inner thread budget.
+  const unsigned budget_threads =
+      std::max(1u, opt_.threads) * std::max(1u, opt_.assembly.inner_threads);
   timer.reset();
   {
     PDSLIN_SPAN("factor.gather");
     c_block_ = extract_separator_block(a_, dbbd_);
-    // The gather runs alone, so it may use the whole thread budget.
-    const unsigned gather_threads =
-        std::max(1u, opt_.threads) * std::max(1u, opt_.assembly.inner_threads);
     s_tilde_ = assemble_schur(c_block_, subs_, facts_, opt_.assembly.drop_s,
-                              gather_threads);
+                              budget_threads);
   }
   stats_.gather_seconds = timer.seconds();
   stats_.schur_nnz = s_tilde_.nnz();
 
   if (s_tilde_.rows > 0) {
     PDSLIN_SPAN("factor.lu_schur");
-    precond_ = std::make_unique<SchurPreconditioner>(s_tilde_, opt_.assembly.lu,
+    LuOptions lu_opt = opt_.assembly.lu;
+    lu_opt.threads = std::max(lu_opt.threads, budget_threads);
+    precond_ = std::make_unique<SchurPreconditioner>(s_tilde_, lu_opt,
                                                      opt_.assembly.trisolve);
     stats_.lu_s_seconds = precond_->factor_seconds();
     stats_.precond_nnz = precond_->factor_nnz();
+    stats_.lu_schur_dense = precond_->dense();
+    stats_.lu_schur_predicted_density = precond_->predicted_density();
   } else {
     // Degenerate but legal: no separator (block-diagonal matrix or k = 1).
     precond_.reset();
     stats_.lu_s_seconds = 0.0;
     stats_.precond_nnz = 0;
+    stats_.lu_schur_dense = false;
+    stats_.lu_schur_predicted_density = 0.0;
   }
 
   factor_done_ = true;
@@ -267,8 +274,8 @@ void SchurSolver::factor() {
   prepare_context(ctx_);
   stats_.solve_workspace_allocs = ctx_.allocations();
 
-  log_info("factor: LU(S~) nnz=", stats_.precond_nnz, " (",
-           stats_.lu_s_seconds, "s)");
+  log_info("factor: LU(S~) ", stats_.lu_schur_dense ? "dense" : "sparse",
+           " nnz=", stats_.precond_nnz, " (", stats_.lu_s_seconds, "s)");
 }
 
 void SchurSolver::prepare_context(SolveContext& ctx) const {
@@ -321,13 +328,8 @@ std::size_t SchurSolver::memory_bytes() const {
     if (f.schedules) bytes += f.schedules->memory_bytes();
   }
   bytes += csr_bytes(c_block_) + csr_bytes(s_tilde_);
-  // LU(S̃): nnz(L+U) values + row indices, plus the permutation vectors.
-  bytes += static_cast<std::size_t>(stats_.precond_nnz) *
-           (sizeof(value_t) + sizeof(index_t));
-  bytes += 2 * static_cast<std::size_t>(stats_.schur_dim) * sizeof(index_t);
-  if (precond_ && precond_->schedules() != nullptr) {
-    bytes += precond_->schedules()->memory_bytes();
-  }
+  // LU(S̃) on either root, its permutations and any level schedules.
+  if (precond_) bytes += precond_->memory_bytes();
   return bytes;
 }
 

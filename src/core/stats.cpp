@@ -84,6 +84,7 @@ std::string SolverStats::summary() const {
      << " subdomains[wall=" << subdomain_wall_seconds << "s cpu="
      << subdomain_seconds_cpu() << "s]"
      << " LU(S~)=" << lu_s_seconds << "s"
+     << (lu_schur_dense ? "[dense]" : "")
      << " solve=" << solve_seconds << "s";
   if (solve_cpu_seconds > 0.0) os << " (cpu=" << solve_cpu_seconds << "s)";
   if (nrhs > 1) os << " nrhs=" << nrhs;

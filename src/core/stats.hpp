@@ -35,7 +35,12 @@ struct SolverStats {
   double lu_s_seconds = 0.0;             // LU(S̃)
   long long schur_dim = 0;               // n_S
   long long schur_nnz = 0;               // nnz(S̃)
-  long long precond_nnz = 0;             // nnz(L+U of S̃)
+  long long precond_nnz = 0;             // stored entries of LU(S̃)
+  /// Which LU(S̃) root ran, and the sparse fill density the selection rule
+  /// predicted from the symbolic factor (core/preconditioner.hpp): the
+  /// dense root runs when it is ≥ 2/3.
+  bool lu_schur_dense = false;
+  double lu_schur_predicted_density = 0.0;
 
   // --- iterative solve ---
   double solve_seconds = 0.0;      // wall clock of the last solve() batch

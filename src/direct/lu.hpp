@@ -14,6 +14,14 @@
 //    it and the scalar kernel refactorizes, so results — including error
 //    behavior — are identical for every input, and parallel == serial stays
 //    bitwise for any LuOptions::threads.
+//
+// A third kernel, the dense root (direct/dense_lu.hpp), is the one-panel
+// case of the panel kernel: a single panel holding all n columns and rows,
+// pivoting over every remaining row, so it never aborts. It has its own
+// entry point and factor type; SchurPreconditioner routes S̃ to it when n²
+// dense values take no more room than the predicted sparse factors,
+// (2·nnz(L_sym) − n)·(8 + 4) B ≥ n²·8 B, and applies it by dense
+// substitution — the --trisolve scheduler governs only sparse factors.
 #pragma once
 
 #include <cstddef>
@@ -47,13 +55,14 @@ struct LuOptions {
   /// recovers fp64 accuracy). Factors are no longer bitwise comparable to
   /// the scalar kernel; pivot deviations still fall back to fp64 scalar.
   bool panel_fp32 = false;
-  /// Pipeline workers for the panel kernel (≤ 1 = serial). Results are
-  /// bitwise identical for any value.
+  /// Workers for the panel kernel's pipeline and the dense root's trailing
+  /// update (≤ 1 = serial). Results are bitwise identical for any value.
   unsigned threads = 1;
 };
 
 /// Measurements of the supernodal kernel (zeroed when the scalar kernel
-/// produced the factors).
+/// produced the factors). Flops are multiply-adds; the dense root adds its
+/// own, in the same unit, to the lu.panel.gemm_flops / total_flops counters.
 struct LuPanelStats {
   bool used_panel = false;
   index_t panel_count = 0;

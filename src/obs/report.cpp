@@ -95,6 +95,8 @@ void RunReport::add_solver(const SolverOptions& opt, const SolverStats& st) {
   set_stat("schur_dim", static_cast<double>(st.schur_dim));
   set_stat("schur_nnz", static_cast<double>(st.schur_nnz));
   set_stat("precond_nnz", static_cast<double>(st.precond_nnz));
+  set_stat("lu_schur_dense", st.lu_schur_dense ? 1.0 : 0.0);
+  set_stat("lu_schur_predicted_density", st.lu_schur_predicted_density);
   set_stat("separator_size", static_cast<double>(st.schur_dim));
   set_stat("iterations", st.iterations);
   set_stat("nrhs", st.nrhs);

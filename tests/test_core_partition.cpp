@@ -75,7 +75,9 @@ TEST_P(RhbMetricParam, ProducesValidDissection) {
     if (pi < 0) continue;
     for (index_t q = p.a.row_ptr[i]; q < p.a.row_ptr[i + 1]; ++q) {
       const index_t pj = r.unknowns.part[p.a.col_idx[q]];
-      if (pj >= 0) EXPECT_EQ(pj, pi) << "cross-domain edge";
+      if (pj >= 0) {
+        EXPECT_EQ(pj, pi) << "cross-domain edge";
+      }
     }
   }
   // All parts populated, separator nonempty but small.

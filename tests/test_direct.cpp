@@ -64,7 +64,9 @@ TEST(Etree, PostorderProperties) {
   std::vector<index_t> position(a.rows);
   for (index_t k = 0; k < a.rows; ++k) position[post[k]] = k;
   for (index_t v = 0; v < a.rows; ++v) {
-    if (parent[v] >= 0) EXPECT_LT(position[v], position[parent[v]]);
+    if (parent[v] >= 0) {
+      EXPECT_LT(position[v], position[parent[v]]);
+    }
   }
   // Subtrees are contiguous in a postorder.
   const auto size = subtree_sizes(parent);

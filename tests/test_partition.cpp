@@ -478,7 +478,9 @@ TEST(PartitionGeometric, StreamingAssignBalancesWeight) {
     ASSERT_GE(label[i], 0);
     ASSERT_LT(label[i], 4);
     load[static_cast<std::size_t>(label[i])] += w[i];
-    if (i > 0) EXPECT_GE(label[i], label[i - 1]);  // contiguous split
+    if (i > 0) {
+      EXPECT_GE(label[i], label[i - 1]);  // contiguous split
+    }
   }
   for (long long l : load) EXPECT_GT(l, 0);
 }

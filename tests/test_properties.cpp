@@ -130,7 +130,9 @@ TEST_P(SeedSweep, EtreePostorderOnRandomPatterns) {
   std::vector<index_t> pos(a.rows);
   for (index_t k = 0; k < a.rows; ++k) pos[post[k]] = k;
   for (index_t v = 0; v < a.rows; ++v) {
-    if (parent[v] >= 0) EXPECT_LT(pos[v], pos[parent[v]]);
+    if (parent[v] >= 0) {
+      EXPECT_LT(pos[v], pos[parent[v]]);
+    }
   }
 }
 

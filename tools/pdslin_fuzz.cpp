@@ -129,6 +129,7 @@ struct Campaign {
   int run = 0;
   int failures = 0;
   int skipped_singular = 0;  // oracle-singular / tolerated throws
+  int dense_root = 0;        // cases whose LU(S̃) took the dense root
   int minimized = 0;
   index_t largest_min_n = 0;
 };
@@ -138,6 +139,7 @@ void run_one(const Args& args, const CaseSpec& spec, Campaign& c) {
   ++c.run;
   const DifferentialResult r = run_differential(spec);
   if (r.solver_threw && r.ok()) ++c.skipped_singular;
+  if (r.lu_schur_dense) ++c.dense_root;
   if (r.ok()) {
     if (!args.quiet) {
       std::cout << "ok    " << spec.to_string() << " (n=" << r.n << ")\n";
@@ -204,6 +206,7 @@ int main(int argc, char** argv) {
 
   std::cout << "FUZZ {\"cases\": " << c.run << ", \"failures\": " << c.failures
             << ", \"tolerated_singular\": " << c.skipped_singular
+            << ", \"dense_root\": " << c.dense_root
             << ", \"minimized\": " << c.minimized
             << ", \"largest_minimized_n\": " << c.largest_min_n
             << ", \"injected_fault\": \"" << to_string(args.inject)
