@@ -158,9 +158,8 @@ BENCHMARK(BM_HypergraphBisect)->Arg(64)->Arg(128);
 
 void BM_HypergraphCoarsen(benchmark::State& state) {
   const Hypergraph h = column_net_model(bench_matrix(128));
-  Rng rng(3);
   for (auto _ : state) {
-    const auto match = heavy_connectivity_matching(h, rng);
+    const auto match = heavy_connectivity_matching_det(h, 1);
     benchmark::DoNotOptimize(contract(h, match));
   }
 }

@@ -5,9 +5,9 @@
 //   - the parallel engine (4 threads) must be BITWISE identical to the
 //     serial engine for both RHB and NGD (exit 1 otherwise) — the
 //     position-derived seeds + deterministic matching contract;
-//   - 4-thread speedup over serial must be >= 1.5x. Hardware-gated like
-//     bench/fleet: it hard-fails only when the host has >= 4 cores, and
-//     prints an informational line otherwise;
+//   - 4-thread speedup over serial must be >= 1.5x. Hardware-gated: a
+//     speedup needs the cores to run on, so it hard-fails only when the
+//     host has >= 4 cores, and prints an informational line otherwise;
 //   - a budget-limited run must finish within 2x of its cap (the cap is
 //     sized adaptively from the measured fallback + multilevel times, so
 //     the gate is meaningful on any host) and its partition must still

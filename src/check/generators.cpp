@@ -108,7 +108,6 @@ constexpr struct {
 } kLuKernels[] = {
     {LuKernelAxis::Scalar, "lu-scalar"},
     {LuKernelAxis::Panel, "lu-panel"},
-    {LuKernelAxis::PanelFp32, "lu-fp32"},
 };
 
 }  // namespace
@@ -433,9 +432,9 @@ CaseSpec sample_case(std::uint64_t base_seed, int i) {
 
   // Config axes: cycle the full matrix so coverage is guaranteed, not
   // merely probable. Bit layout of i: partitioner, threads, nrhs, serve,
-  // krylov, exact/dropped (period 64), and the 3-way LU kernel cycles on
-  // i mod 3 — coprime with 64, so the joint period is 192 and every
-  // (config, kernel) pair is hit.
+  // krylov, exact/dropped (period 64), and the LU kernel cycles on i mod 3
+  // (scalar on 0, panel otherwise) — coprime with 64, so the joint period
+  // is 192 and every (config, kernel) pair is hit.
   const unsigned c = static_cast<unsigned>(i);
   spec.partitioning =
       (c & 1u) ? PartitionMethod::RHB : PartitionMethod::NGD;
@@ -445,7 +444,7 @@ CaseSpec sample_case(std::uint64_t base_seed, int i) {
   spec.serve = (c & 8u) != 0;
   spec.krylov = (c & 16u) ? KrylovMethod::Bicgstab : KrylovMethod::Gmres;
   spec.exact_assembly = (c & 32u) == 0;
-  spec.lu_kernel = static_cast<LuKernelAxis>(c % 3u);
+  spec.lu_kernel = c % 3u == 0 ? LuKernelAxis::Scalar : LuKernelAxis::Panel;
   // Trisolve engine cycles mod 5 (coprime with the 64-bit layout and the
   // mod-3 kernel cycle), so every (config, kernel, scheduler) pair is hit
   // and the level-set lanes appear from the very first seeds.
@@ -506,10 +505,6 @@ SolverOptions solver_options_for(const CaseSpec& spec) {
       break;
     case LuKernelAxis::Panel:
       opt.assembly.lu.kernel = LuKernel::Panel;
-      break;
-    case LuKernelAxis::PanelFp32:
-      opt.assembly.lu.kernel = LuKernel::Panel;
-      opt.assembly.lu.panel_fp32 = true;
       break;
   }
   if (spec.levelset_trisolve) {

@@ -67,8 +67,8 @@ struct DenseLuFactors {
 /// min_pivot over all remaining rows; a column whose largest remaining entry
 /// is ≤ min_pivot raises pdslin::Error ("matrix is singular at column j"),
 /// like the scalar kernel. opt.threads bounds the trailing-update workers;
-/// the factors are bitwise identical for any value. Kernel and fp32 options
-/// do not apply.
+/// the factors are bitwise identical for any value. The kernel option does
+/// not apply.
 DenseLuFactors dense_lu_factorize(const CsrMatrix& a, const LuOptions& opt = {},
                                   std::span<const index_t> perm = {});
 

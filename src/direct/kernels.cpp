@@ -48,8 +48,7 @@ index_t factorize_panel(T* pan, index_t nr, index_t tri0, index_t w,
       const T* lk = pan + static_cast<std::size_t>(kp) * nr;
       for (index_t i = tri0 + kp + 1; i < nr; ++i) col[i] -= lk[i] * u;
     }
-    // Threshold pivot check, exactly the scalar kernel's rule. Comparisons
-    // run in double so the fp32 rung applies the same policy.
+    // Threshold pivot check, exactly the scalar kernel's rule.
     const index_t dpos = tri0 + jj;
     double pmax = 0.0;
     for (index_t i = dpos; i < nr; ++i) {
@@ -125,27 +124,15 @@ void scatter_block(const T* block, index_t nrows, index_t ncol, bool row_major,
 
 template void trsm_unit_lower<double>(const double*, index_t, index_t, index_t,
                                       double*, index_t);
-template void trsm_unit_lower<float>(const float*, index_t, index_t, index_t,
-                                     float*, index_t);
 template void gemm_minus<double>(const double*, index_t, index_t, index_t,
                                  const double*, index_t, double*);
-template void gemm_minus<float>(const float*, index_t, index_t, index_t,
-                                const float*, index_t, float*);
 template index_t factorize_panel<double>(double*, index_t, index_t, index_t,
                                          double, double, bool*);
-template index_t factorize_panel<float>(float*, index_t, index_t, index_t,
-                                        double, double, bool*);
 template void gather_block<double>(const double*, index_t, const index_t*,
                                    index_t, const index_t*, index_t, bool,
                                    double*);
-template void gather_block<float>(const float*, index_t, const index_t*,
-                                  index_t, const index_t*, index_t, bool,
-                                  float*);
 template void scatter_block<double>(const double*, index_t, index_t, bool,
                                     const index_t*, const index_t*, double*,
                                     index_t);
-template void scatter_block<float>(const float*, index_t, index_t, bool,
-                                   const index_t*, const index_t*, float*,
-                                   index_t);
 
 }  // namespace pdslin::panel

@@ -51,10 +51,6 @@ struct LuOptions {
   /// Relaxed amalgamation: allowed structural-zero fraction when merging
   /// e-tree chain columns into one panel (0 = fundamental supernodes only).
   double panel_relax = 0.25;
-  /// Factor panels in fp32 (iterative refinement via lu_solve_refined
-  /// recovers fp64 accuracy). Factors are no longer bitwise comparable to
-  /// the scalar kernel; pivot deviations still fall back to fp64 scalar.
-  bool panel_fp32 = false;
   /// Workers for the panel kernel's pipeline and the dense root's trailing
   /// update (≤ 1 = serial). Results are bitwise identical for any value.
   unsigned threads = 1;

@@ -336,9 +336,6 @@ std::optional<LuFactors> panel_lu_factorize(const CscMatrix& a,
                                             const LuOptions& opt) {
   PDSLIN_CHECK_MSG(a.rows == a.cols, "LU requires a square matrix");
   PanelSymbolic ps = panel_symbolic(a, opt);
-  if (opt.panel_fp32) {
-    return panel_factorize_typed<float>(a, opt, std::move(ps));
-  }
   return panel_factorize_typed<double>(a, opt, std::move(ps));
 }
 

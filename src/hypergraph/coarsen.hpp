@@ -2,8 +2,9 @@
 // contraction with identical-net merging.
 #pragma once
 
+#include <vector>
+
 #include "hypergraph/hypergraph.hpp"
-#include "util/rng.hpp"
 
 namespace pdslin {
 
@@ -12,18 +13,15 @@ struct HgCoarsening {
   std::vector<index_t> map;  // fine vertex → coarse vertex
 };
 
-/// Heavy-connectivity matching: each unmatched vertex pairs with the
-/// unmatched vertex sharing the largest total net cost. match[v] = partner
-/// (v itself if unmatched).
-std::vector<index_t> heavy_connectivity_matching(const Hypergraph& h, Rng& rng);
-
-/// Deterministic heavy-connectivity matching for the parallel partition
-/// engine: bounded rounds of a two-pass claim/commit protocol. Pass 1 runs
-/// vertex-parallel (parallel_ranges over the shared pool) — every unmatched
-/// vertex proposes its best-connected unmatched partner, ties broken toward
-/// the lowest vertex index; pass 2 commits mutual proposals. Each pass is a
-/// pure function of the hypergraph and the previous round's matched set, so
-/// the result is identical for any `threads`, including 1.
+/// Deterministic heavy-connectivity matching: unmatched vertices pair with
+/// the unmatched vertex sharing the largest total net cost. match[v] =
+/// partner (v itself if unmatched). Bounded rounds of a two-pass
+/// claim/commit protocol: pass 1 runs vertex-parallel (parallel_ranges over
+/// the shared pool) — every unmatched vertex proposes its best-connected
+/// unmatched partner, ties broken toward the lowest vertex index; pass 2
+/// commits mutual proposals. Each pass is a pure function of the hypergraph
+/// and the previous round's matched set, so the result is identical for any
+/// `threads`, including 1.
 std::vector<index_t> heavy_connectivity_matching_det(const Hypergraph& h,
                                                      unsigned threads);
 

@@ -200,9 +200,6 @@ void rhb_recurse(RhbContext& ctx, const SubMatrix& sub, index_t k, index_t low,
   bopt.refine_passes = ctx.opt->refine_passes;
   bopt.initial_tries = ctx.opt->initial_tries;
   bopt.seed = node_seed(ctx.base_seed, low, k);
-  // Thread-count independence: the engine always coarsens with the
-  // deterministic claim/commit matching, so serial == parallel bitwise.
-  bopt.deterministic_matching = true;
   bopt.matching_threads = ctx.eng->threads;
   if (ctx.eng->budget.max_ms != 0.0) {
     bopt.should_stop = [t = ctx.tracker] { return t->exhausted(); };

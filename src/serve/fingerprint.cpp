@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "core/schur_solver.hpp"
-#include "util/error.hpp"
 
 namespace pdslin::serve {
 
@@ -71,7 +70,6 @@ std::uint64_t setup_options_hash(const pdslin::SolverOptions& opt) {
   h = hash_u64(static_cast<std::uint64_t>(opt.assembly.lu.kernel), h);
   h = hash_u64(static_cast<std::uint64_t>(opt.assembly.lu.panel_max_width), h);
   h = hash_double(opt.assembly.lu.panel_relax, h);
-  h = hash_u64(opt.assembly.lu.panel_fp32 ? 1 : 0, h);
   // Partition-engine knobs change the partition (and thus the factors), so
   // they split the cache. The engine's thread count does NOT: the parallel
   // recursion is bitwise identical to serial (same exclusion rationale as
@@ -87,85 +85,18 @@ std::uint64_t setup_options_hash(const pdslin::SolverOptions& opt) {
   return h;
 }
 
-std::array<std::uint8_t, Fingerprint::kWireBytes> Fingerprint::to_bytes()
-    const {
-  std::array<std::uint8_t, kWireBytes> out{};
-  for (int i = 0; i < 8; ++i) {
-    out[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(structure >> (8 * i));
-    out[static_cast<std::size_t>(8 + i)] =
-        static_cast<std::uint8_t>(values >> (8 * i));
-  }
-  return out;
-}
-
-Fingerprint Fingerprint::from_bytes(std::span<const std::uint8_t> bytes) {
-  PDSLIN_CHECK_MSG(bytes.size() == kWireBytes,
-                   "Fingerprint::from_bytes needs exactly 16 bytes");
-  Fingerprint fp;
-  for (int i = 0; i < 8; ++i) {
-    fp.structure |= static_cast<std::uint64_t>(bytes[static_cast<std::size_t>(i)])
-                    << (8 * i);
-    fp.values |=
-        static_cast<std::uint64_t>(bytes[static_cast<std::size_t>(8 + i)])
-        << (8 * i);
-  }
-  return fp;
-}
-
-namespace {
-
-int hex_digit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-}  // namespace
-
 std::string Fingerprint::to_hex() const {
   static const char* digits = "0123456789abcdef";
-  const auto bytes = to_bytes();
-  std::string out(2 * kWireBytes, '0');
-  for (std::size_t i = 0; i < kWireBytes; ++i) {
-    out[2 * i] = digits[bytes[i] >> 4];
-    out[2 * i + 1] = digits[bytes[i] & 0xF];
+  std::string out;
+  out.reserve(32);
+  for (const std::uint64_t half : {structure, values}) {
+    for (int i = 0; i < 8; ++i) {
+      const unsigned byte = static_cast<unsigned>(half >> (8 * i)) & 0xFFu;
+      out.push_back(digits[byte >> 4]);
+      out.push_back(digits[byte & 0xFu]);
+    }
   }
   return out;
-}
-
-std::optional<Fingerprint> Fingerprint::from_hex(std::string_view hex) {
-  std::string compact;
-  if (hex.size() == 2 * kWireBytes + 1) {  // to_string(): "<16hex>:<16hex>"
-    if (hex[16] != ':') return std::nullopt;
-    compact.append(hex.substr(0, 16));
-    compact.append(hex.substr(17));
-    hex = compact;
-  }
-  if (hex.size() != 2 * kWireBytes) return std::nullopt;
-  std::array<std::uint8_t, kWireBytes> bytes{};
-  for (std::size_t i = 0; i < kWireBytes; ++i) {
-    const int hi = hex_digit(hex[2 * i]);
-    const int lo = hex_digit(hex[2 * i + 1]);
-    if (hi < 0 || lo < 0) return std::nullopt;
-    bytes[i] = static_cast<std::uint8_t>((hi << 4) | lo);
-  }
-  // to_string() renders big-endian hex per half; to_hex() renders the
-  // little-endian byte serialization. Both land here: detect by length
-  // earlier — compact (to_string) input was normalized to big-endian hex,
-  // so re-parse each half as a number.
-  if (!compact.empty()) {
-    Fingerprint fp;
-    for (std::size_t i = 0; i < 16; ++i) {
-      fp.structure = (fp.structure << 4) |
-                     static_cast<std::uint64_t>(hex_digit(compact[i]));
-      fp.values = (fp.values << 4) |
-                  static_cast<std::uint64_t>(hex_digit(compact[16 + i]));
-    }
-    return fp;
-  }
-  return from_bytes(bytes);
 }
 
 std::string Fingerprint::to_string() const {

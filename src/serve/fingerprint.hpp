@@ -6,12 +6,8 @@
 // the numeric factorization is redone — the HYLU-style reuse ladder.
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <string>
-#include <string_view>
 
 #include "sparse/csr.hpp"
 
@@ -32,20 +28,10 @@ struct Fingerprint {
   /// "0123456789abcdef:fedcba9876543210" — log/report rendering.
   [[nodiscard]] std::string to_string() const;
 
-  /// Canonical 16-byte serialization: structure then values, each 8 bytes
-  /// little-endian regardless of host order. This is the form that travels
-  /// on the fleet wire protocol and keys workload logs; to_bytes/from_bytes
-  /// and to_hex/from_hex are exact inverses (round-trip pinned by test).
-  static constexpr std::size_t kWireBytes = 16;
-  [[nodiscard]] std::array<std::uint8_t, kWireBytes> to_bytes() const;
-  static Fingerprint from_bytes(std::span<const std::uint8_t> bytes);
-
-  /// 32 lowercase hex digits (the byte serialization, hex-encoded).
+  /// 32 lowercase hex digits: the 16 bytes of structure then values, each
+  /// half little-endian regardless of host order. Workload logs key
+  /// requests by it, so the rendering is pinned by test.
   [[nodiscard]] std::string to_hex() const;
-  /// Parse to_hex() output, or the to_string() rendering with the ':'
-  /// separator. Returns nullopt on any malformed input (wrong length,
-  /// non-hex digit, misplaced separator).
-  static std::optional<Fingerprint> from_hex(std::string_view hex);
 };
 
 /// FNV-1a over a byte range; pass the previous hash as `seed` to chain

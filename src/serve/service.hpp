@@ -99,7 +99,8 @@ class SolveService {
   /// executed to a terminal status, and stop() returns only once all of
   /// them have been answered. Safe to call from any number of threads
   /// concurrently — one caller drains, the rest block until it is done.
-  /// The destructor calls it; the fleet worker's SIGTERM path relies on it.
+  /// The destructor calls it, so destroying a service never abandons a
+  /// request it accepted.
   void stop();
 
   [[nodiscard]] ServiceStats stats() const;

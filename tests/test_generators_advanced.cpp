@@ -9,7 +9,7 @@
 #include "gen/fem_assembly.hpp"
 #include "gen/tet_fem.hpp"
 #include "graph/graph.hpp"
-#include "graph/nested_dissection.hpp"
+#include "partition/engine.hpp"
 #include "sparse/permute.hpp"
 #include "sparse/symmetrize.hpp"
 #include "sparse/convert.hpp"
@@ -82,7 +82,7 @@ TEST(SeparatorOrder, IsPermutationOfSeparator) {
   NgdOptions opt;
   opt.num_parts = 8;
   opt.seed = 5;
-  const DissectionResult r = nested_dissection(g, opt);
+  const DissectionResult r = partition::ngd_engine(g, opt, {}).unknowns;
   ASSERT_EQ(r.separator_order.size(),
             static_cast<std::size_t>(r.separator_size));
   std::vector<char> seen(g.n, 0);
@@ -94,26 +94,30 @@ TEST(SeparatorOrder, IsPermutationOfSeparator) {
 }
 
 TEST(SeparatorOrder, RootSeparatorComesLast) {
-  // In elimination order, the root (first bisection) separator is last.
-  // Verify via levels: the final chunk of separator_order must all be at
-  // tree level 0 (the root separator) — we detect the root separator as the
-  // vertices whose removal leaves the two k/2 halves; simpler proxy: the
-  // order's last vertex belongs to the root separator computed by a 2-way
-  // dissection with the same seed.
-  const CsrMatrix a = testing::grid_laplacian(16, 16);
+  // In elimination order the root (first bisection) separator is last. The
+  // geometric split is seed-free and does not depend on k, so a 2-way and a
+  // 4-way dissection share their root bisection; the 4-way order must end
+  // with exactly the 2-way separator.
+  const index_t nx = 16, ny = 16;
+  const CsrMatrix a = testing::grid_laplacian(nx, ny);
   const Graph g = graph_from_matrix(a);
+  std::vector<double> xyz(3 * static_cast<std::size_t>(g.n), 0.0);
+  for (index_t v = 0; v < g.n; ++v) {
+    xyz[3 * static_cast<std::size_t>(v)] = v % nx;
+    xyz[3 * static_cast<std::size_t>(v) + 1] = v / nx;
+  }
+  partition::EngineOptions eng;
+  eng.engine = partition::Engine::Geometric;
+  eng.coords = xyz;
   NgdOptions two;
   two.num_parts = 2;
-  two.seed = 7;
-  const DissectionResult root = nested_dissection(g, two);
+  const DissectionResult root = partition::ngd_engine(g, two, eng).unknowns;
   NgdOptions four;
   four.num_parts = 4;
-  four.seed = 7;
-  const DissectionResult r = nested_dissection(g, four);
-  // The last root.separator_size entries of the 4-way order are exactly the
-  // 2-way separator (same seed → same first bisection).
+  const DissectionResult r = partition::ngd_engine(g, four, eng).unknowns;
   const index_t tail = root.separator_size;
-  ASSERT_GE(static_cast<index_t>(r.separator_order.size()), tail);
+  ASSERT_GT(tail, 0);
+  ASSERT_GT(static_cast<index_t>(r.separator_order.size()), tail);
   for (std::size_t i = r.separator_order.size() - tail;
        i < r.separator_order.size(); ++i) {
     EXPECT_EQ(root.part[r.separator_order[i]], DissectionResult::kSeparator);

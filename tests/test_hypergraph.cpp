@@ -72,7 +72,7 @@ TEST(Coarsen, MatchingAndContraction) {
   Rng rng(11);
   const CsrMatrix m = testing::random_sparse(40, 30, 0.15, rng);
   const Hypergraph h = column_net_model(m);
-  const auto match = heavy_connectivity_matching(h, rng);
+  const auto match = heavy_connectivity_matching_det(h, 1);
   for (index_t v = 0; v < h.num_vertices; ++v) {
     EXPECT_EQ(match[match[v]], v);
   }

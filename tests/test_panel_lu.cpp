@@ -1,8 +1,8 @@
 // Tests for the supernodal panel LU kernel (direct/panel_lu): bitwise
 // equivalence with the scalar Gilbert–Peierls reference, parallel == serial
 // determinism, scalar fallback on pivot deviation and singularity, the
-// relaxed-amalgamation and width-cap knobs, the fp32 rung with iterative
-// refinement, and the serve-layer byte accounting.
+// relaxed-amalgamation and width-cap knobs, and the serve-layer byte
+// accounting.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,8 +13,6 @@
 #include "direct/lu.hpp"
 #include "direct/mindeg.hpp"
 #include "direct/supernodes.hpp"
-#include "direct/trisolve.hpp"
-#include "sparse/ops.hpp"
 #include "sparse/permute.hpp"
 #include "sparse/symmetrize.hpp"
 #include "test_util.hpp"
@@ -118,20 +116,17 @@ TEST(PanelLu, FallbackOnPivotDeviationMatchesScalar) {
   const CsrMatrix a =
       ordered_matrix(testing::random_pattern_symmetric(60, 0.15, rng,
                                                        /*diag_boost=*/0.0));
-  for (const bool fp32 : {false, true}) {
-    LuOptions scalar;
-    scalar.kernel = LuKernel::Scalar;
-    scalar.pivot_tol = 1.0;
-    LuOptions panel = scalar;
-    panel.kernel = LuKernel::Panel;
-    panel.panel_fp32 = fp32;
-    panel.threads = 3;
-    const LuFactors fs = lu_factorize(a, scalar);
-    const LuFactors fp = lu_factorize(a, panel);
-    ASSERT_FALSE(fp.stats.used_panel)
-        << "expected a pivot deviation to force the scalar fallback";
-    expect_factors_bitwise(fs, fp, "fallback vs scalar");
-  }
+  LuOptions scalar;
+  scalar.kernel = LuKernel::Scalar;
+  scalar.pivot_tol = 1.0;
+  LuOptions panel = scalar;
+  panel.kernel = LuKernel::Panel;
+  panel.threads = 3;
+  const LuFactors fs = lu_factorize(a, scalar);
+  const LuFactors fp = lu_factorize(a, panel);
+  ASSERT_FALSE(fp.stats.used_panel)
+      << "expected a pivot deviation to force the scalar fallback";
+  expect_factors_bitwise(fs, fp, "fallback vs scalar");
 }
 
 TEST(PanelLu, SingularThrowsLikeScalar) {
@@ -182,32 +177,6 @@ TEST(PanelLu, WidthCapAndRelaxationKnobs) {
   LuOptions unlimited = fundamental;
   unlimited.panel_max_width = 0;  // 0 = no cap
   expect_factors_bitwise(fs, lu_factorize(a, unlimited), "unlimited width");
-}
-
-TEST(PanelLu, Fp32RungRefinesToFp64) {
-  const CsrMatrix a = ordered_matrix(testing::grid_laplacian(12, 12));
-  LuOptions opt;
-  opt.kernel = LuKernel::Panel;
-  opt.panel_fp32 = true;
-  opt.threads = 2;
-  const LuFactors f = lu_factorize(a, opt);
-  EXPECT_TRUE(f.stats.used_panel);
-
-  Rng rng(99);
-  std::vector<value_t> b(a.rows), x(a.rows, 0.0);
-  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
-  // Plain solve with fp32 factors: ~single-precision relative residual.
-  lu_solve(f, b, x);
-  const double raw = residual_norm(a, x, b) / norm2(b);
-  EXPECT_LT(raw, 1e-4);
-  // Iterative refinement gated on the fp64 true residual recovers fp64.
-  LuRefineOptions ropt;
-  ropt.rel_tol = 1e-12;
-  const LuRefineResult res = lu_solve_refined(f, a, b, x, ropt);
-  EXPECT_TRUE(res.converged);
-  EXPECT_LE(res.rel_residual, 1e-12);
-  EXPECT_GT(res.iterations, 0);
-  EXPECT_LT(residual_norm(a, x, b) / norm2(b), 1e-11);
 }
 
 TEST(PanelLu, MemoryBytesCoversPanelMetadata) {

@@ -11,9 +11,9 @@
 #include "direct/multirhs.hpp"
 #include "direct/trisolve.hpp"
 #include "graph/graph.hpp"
-#include "graph/nested_dissection.hpp"
 #include "hypergraph/metrics.hpp"
 #include "hypergraph/recursive.hpp"
+#include "partition/engine.hpp"
 #include "sparse/convert.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/permute.hpp"
@@ -34,7 +34,7 @@ TEST_P(SeedSweep, NestedDissectionValidOnRandomGraphs) {
     NgdOptions opt;
     opt.num_parts = k;
     opt.seed = GetParam();
-    const DissectionResult r = nested_dissection(g, opt);
+    const DissectionResult r = partition::ngd_engine(g, opt, {}).unknowns;
     EXPECT_TRUE(is_valid_dissection(g, r)) << "k=" << k;
     // Every vertex labeled.
     for (index_t v = 0; v < g.n; ++v) {

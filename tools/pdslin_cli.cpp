@@ -24,8 +24,6 @@
 //   --lu-kernel scalar|panel  LU factorization kernel         [panel]
 //   --lu-panel-width W        panel width cap (0 = unlimited) [32]
 //   --lu-panel-relax X        relaxed-amalgamation padding    [0.25]
-//   --lu-panel-fp32           factor panels in fp32 (refined to fp64;
-//                             changes factor bits — off by default)
 //   --trisolve serial|levelset triangular-solve engine         [serial]
 //                             (levelset = level-scheduled parallel solves
 //                             inside one L/U solve, bitwise == serial)
@@ -64,6 +62,7 @@
 #include "obs/trace.hpp"
 #include "sparse/io.hpp"
 #include "sparse/ops.hpp"
+#include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -85,9 +84,7 @@ bool is_suite_name(const std::string& name) {
   return false;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   obs::label_this_thread("main");
   std::string matrix;
   std::string trace_out;
@@ -175,8 +172,6 @@ int main(int argc, char** argv) {
           static_cast<index_t>(std::atoi(next()));
     } else if (arg == "--lu-panel-relax") {
       opt.assembly.lu.panel_relax = std::atof(next());
-    } else if (arg == "--lu-panel-fp32") {
-      opt.assembly.lu.panel_fp32 = true;
     } else if (arg == "--krylov") {
       krylov = next();
       if (krylov != "gmres" && krylov != "bicgstab") usage("unknown --krylov");
@@ -298,4 +293,17 @@ int main(int argc, char** argv) {
   }
   obs::trace_finalize_env();
   return all_converged ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // Bad input (unreadable matrix, k not a power of two, a singular block)
+  // ends in a message and exit 1, never an uncaught-exception abort.
+  try {
+    return run(argc, argv);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "pdslin: %s\n", e.what());
+    return 1;
+  }
 }

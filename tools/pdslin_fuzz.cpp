@@ -6,8 +6,8 @@
 // runs the full hybrid pipeline across the config matrix (graph vs.
 // hypergraph partitioner, threads ∈ {1, k}, nrhs ∈ {1, m}, direct vs. served
 // cold/cached, GMRES vs. BiCGSTAB, exact vs. dropped assembly, LU kernel
-// scalar vs. supernodal panel vs. panel-fp32, triangular solves serial vs.
-// level-set scheduled) and diffs every stage against the dense oracle; the
+// scalar vs. supernodal panel, triangular solves serial vs. level-set
+// scheduled) and diffs every stage against the dense oracle; the
 // level-set lanes additionally rerun fully serial and must match bitwise.
 // On failure the case is shrunk to a minimal reproducer and written as a
 // replayable JSON seed artifact.
@@ -174,34 +174,27 @@ void run_one(const Args& args, const CaseSpec& spec, Campaign& c) {
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   Args args;
   if (!parse_args(argc, argv, args)) return 2;
   if (args.inject != Fault::None) inject_fault(args.inject);
 
   WallTimer timer;
   Campaign c;
-  try {
-    if (!args.replay.empty()) {
-      for (const std::string& path : args.replay) {
-        if (args.stop_after > 0 && c.failures >= args.stop_after) break;
-        const CaseSpec spec = load_artifact(path);
-        if (!args.quiet) std::cout << "replay " << path << "\n";
-        run_one(args, spec, c);
-      }
-    } else {
-      for (int i = 0; i < args.seeds; ++i) {
-        if (args.stop_after > 0 && c.failures >= args.stop_after) break;
-        CaseSpec spec = sample_case(args.seed_base, i);
-        if (args.max_n > 0 && spec.n > args.max_n) spec.n = args.max_n;
-        run_one(args, spec, c);
-      }
+  if (!args.replay.empty()) {
+    for (const std::string& path : args.replay) {
+      if (args.stop_after > 0 && c.failures >= args.stop_after) break;
+      const CaseSpec spec = load_artifact(path);
+      if (!args.quiet) std::cout << "replay " << path << "\n";
+      run_one(args, spec, c);
     }
-  } catch (const Error& e) {
-    std::cerr << "fuzz driver error: " << e.what() << "\n";
-    return 2;
+  } else {
+    for (int i = 0; i < args.seeds; ++i) {
+      if (args.stop_after > 0 && c.failures >= args.stop_after) break;
+      CaseSpec spec = sample_case(args.seed_base, i);
+      if (args.max_n > 0 && spec.n > args.max_n) spec.n = args.max_n;
+      run_one(args, spec, c);
+    }
   }
 
   std::cout << "FUZZ {\"cases\": " << c.run << ", \"failures\": " << c.failures
@@ -216,4 +209,17 @@ int main(int argc, char** argv) {
     return c.failures > 0 ? 0 : 1;
   }
   return c.failures > 0 ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed artifact or a driver-level failure ends in a message and
+  // exit 1, never an uncaught-exception abort.
+  try {
+    return run(argc, argv);
+  } catch (const Error& e) {
+    std::cerr << "pdslin_fuzz: " << e.what() << "\n";
+    return 1;
+  }
 }

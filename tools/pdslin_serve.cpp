@@ -52,6 +52,7 @@
 #include "obs/trace.hpp"
 #include "serve/service.hpp"
 #include "sparse/io.hpp"
+#include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
 #include "util/timer.hpp"
@@ -146,9 +147,7 @@ double quantile_exact(std::vector<double>& sorted, double q) {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   obs::label_this_thread("main");
   obs::trace_init_from_env();
   std::string workload_file;
@@ -360,5 +359,18 @@ int main(int argc, char** argv) {
     if (!report_out.empty()) report_write_file(report, report_out);
 
     return st.failed == 0 ? 0 : 1;
+  }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  // A malformed workload or an unreadable matrix ends in a message and exit
+  // 1, never an uncaught-exception abort.
+  try {
+    return run(argc, argv);
+  } catch (const Error& e) {
+    std::fprintf(stderr, "pdslin_serve: %s\n", e.what());
+    return 1;
   }
 }
