@@ -27,8 +27,6 @@
 #include "direct/multirhs.hpp"
 #include "direct/supernodes.hpp"
 #include "gen/grid_fem.hpp"
-#include "iterative/bicgstab.hpp"
-#include "iterative/gmres.hpp"
 #include "graph/bisect.hpp"
 #include "graph/graph.hpp"
 #include "hypergraph/bisect.hpp"
@@ -195,28 +193,6 @@ void BM_RhbWeights(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RhbWeights)->Arg(0)->Arg(1);
-
-// Ablation: GMRES vs BiCGSTAB on the same preconditioned system.
-void BM_KrylovMethod(benchmark::State& state) {
-  const CsrMatrix a = bench_matrix(48);
-  const MatrixOperator op(a);
-  Rng rng(11);
-  std::vector<value_t> b(a.rows);
-  for (auto& v : b) v = rng.uniform(-1.0, 1.0);
-  for (auto _ : state) {
-    std::vector<value_t> x(a.rows, 0.0);
-    if (state.range(0) == 0) {
-      GmresOptions gopt;
-      gopt.rel_tolerance = 1e-8;
-      benchmark::DoNotOptimize(gmres(op, nullptr, b, x, gopt));
-    } else {
-      BicgstabOptions bopt;
-      bopt.rel_tolerance = 1e-8;
-      benchmark::DoNotOptimize(bicgstab(op, nullptr, b, x, bopt));
-    }
-  }
-}
-BENCHMARK(BM_KrylovMethod)->Arg(0)->Arg(1);
 
 void BM_SupernodeDetection(benchmark::State& state) {
   const CsrMatrix a = bench_matrix(static_cast<index_t>(state.range(0)));

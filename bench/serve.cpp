@@ -9,12 +9,7 @@
 //     structured detail string while the queue keeps draining (exit 1 if the
 //     service aborts or returns the wrong status);
 //   - the speedup of ON over OFF must be >= 5x on the repeated workload
-//     (exit 1 otherwise — the acceptance criterion of this subsystem);
-//   - the adaptive-σ ablation: repeat traffic with the self-tuning drop
-//     controller ON must spend no more total Krylov iterations than the
-//     static-σ service on the same workload, converge to a stable σ within
-//     [sigma_min, sigma_max], and stay bitwise reproducible at that σ
-//     (exit 1 otherwise).
+//     (exit 1 otherwise — the acceptance criterion of this subsystem).
 //
 // Both runs start from one untimed warmup request, so the comparison is
 // steady-state service (cache warm) versus per-request cold setup.
@@ -29,7 +24,6 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "check/generators.hpp"
 #include "obs/metrics.hpp"
 #include "serve/service.hpp"
 #include "util/timer.hpp"
@@ -204,14 +198,14 @@ int main() {
               static_cast<long long>(p.a.nnz()), repeats,
               static_cast<int>(nrhs), workers);
 
-  std::printf("\n[1/5] cache+batching OFF (cold setup per request)...\n");
+  std::printf("\n[1/4] cache+batching OFF (cold setup per request)...\n");
   const RunResult off = run_workload(w, opt, false, false, workers);
   emit("off", p, off);
   std::printf("      %.2fs — %.1f solves/s, p50 %.1fms p99 %.1fms\n",
               off.seconds, off.solves_per_second, off.p50 * 1e3,
               off.p99 * 1e3);
 
-  std::printf("[2/5] cache+batching ON...\n");
+  std::printf("[2/4] cache+batching ON...\n");
   const RunResult on = run_workload(w, opt, true, true, workers);
   emit("on", p, on);
   std::printf("      %.2fs — %.1f solves/s, hit rate %.0f%%, mean batch "
@@ -222,7 +216,7 @@ int main() {
   int exit_code = 0;
 
   // Gate 1: bitwise-identical answers, cached path vs cold path.
-  std::printf("[3/5] bitwise check: cached-path answers vs cold path...\n");
+  std::printf("[3/4] bitwise check: cached-path answers vs cold path...\n");
   if (on.solutions.size() != off.solutions.size()) {
     std::printf("      FAIL: response count differs (%zu vs %zu)\n",
                 on.solutions.size(), off.solutions.size());
@@ -247,7 +241,7 @@ int main() {
   // healthy requests before and after it keep flowing. min_pivot = 1e30
   // makes every subdomain LU pivot report singular, which is the same
   // failure path a genuinely singular D_l takes.
-  std::printf("[4/5] fault injection: singular subdomain mid-stream...\n");
+  std::printf("[4/4] fault injection: singular subdomain mid-stream...\n");
   {
     const Workload easy = make_easy_workload(600);
     SolverOptions sick_opt = opt;
@@ -277,95 +271,7 @@ int main() {
     }
   }
 
-  // Gate 3: the adaptive-σ ablation on repeat traffic. The request carries a
-  // deliberately loose static drop_s (weak LU(S̃), many Krylov iterations);
-  // the controller must tighten σ within bounds until the iteration count
-  // falls into the target band, then hold it stable — tuned traffic beats
-  // static traffic on summed iterations.
-  std::printf("[5/5] adaptive drop tolerance: tuned σ vs static σ...\n");
-  {
-    check::CaseSpec spec;
-    spec.family = check::Family::AnisoSpd;
-    spec.n = 400;
-    spec.seed = 1;
-    spec.num_subdomains = 8;
-    spec.exact_assembly = false;
-    const GeneratedProblem ap = check::build_case(spec);
-    SolverOptions aopt = check::solver_options_for(spec);
-    aopt.assembly.drop_wg = 5e-2;
-    aopt.assembly.drop_s = 0.3;  // loose on purpose: the tuning headroom
-    const int adapt_repeats = 10;
-    Workload aw = make_workload(ap, adapt_repeats, 1);
-
-    auto run_repeat = [&](bool adaptive) {
-      serve::ServiceConfig cfg;
-      cfg.workers = 1;  // sequential: every observation lands before the next
-      cfg.adapt.enabled = adaptive;
-      serve::SolveService service(cfg);
-      long long iters = 0;
-      double final_sigma = aopt.assembly.drop_s;
-      std::vector<value_t> last_x;
-      for (int i = 0; i < adapt_repeats; ++i) {
-        const serve::SolveResponse r =
-            service.solve(make_request(aw, static_cast<std::size_t>(i), aopt));
-        if (r.status != serve::ServeStatus::Ok) {
-          std::printf("      FAIL: repeat %d ended %s\n", i,
-                      serve::to_string(r.status));
-          exit_code = 1;
-          break;
-        }
-        for (const GmresResult& c : r.columns) iters += c.iterations;
-        final_sigma = r.tuned_drop_s;
-        last_x = r.x;
-      }
-      // Bitwise reproducibility at the settled σ: the repeat of the final
-      // request must reuse the entry and reproduce the answer bit for bit.
-      const serve::SolveResponse again = service.solve(
-          make_request(aw, static_cast<std::size_t>(adapt_repeats - 1), aopt));
-      if (again.status != serve::ServeStatus::Ok ||
-          again.tuned_drop_s != final_sigma || again.x.size() != last_x.size() ||
-          std::memcmp(again.x.data(), last_x.data(),
-                      last_x.size() * sizeof(value_t)) != 0) {
-        std::printf("      FAIL: settled-σ repeat not bitwise reproducible\n");
-        exit_code = 1;
-      }
-      const serve::AdaptStats ast = service.adapt().stats();
-      obs::RunReport rep;
-      rep.tool = "bench/serve";
-      rep.matrix = ap.name;
-      rep.n = ap.a.rows;
-      rep.nnz = ap.a.nnz();
-      rep.set_config("mode", adaptive ? "adapt-tuned" : "adapt-static");
-      rep.set_stat("krylov_iterations", static_cast<double>(iters));
-      rep.set_stat("final_drop_s", final_sigma);
-      rep.set_stat("adapt_rebuilds", static_cast<double>(ast.rebuilds));
-      rep.set_stat("adapt_tightened", static_cast<double>(ast.tightened));
-      emit_bench_report(rep);
-      return std::pair<long long, double>{iters, final_sigma};
-    };
-
-    const auto [static_iters, static_sigma] = run_repeat(false);
-    const auto [tuned_iters, tuned_sigma] = run_repeat(true);
-    std::printf("      static σ=%.3g: %lld iters over %d repeats\n",
-                static_sigma, static_iters, adapt_repeats);
-    std::printf("      tuned  σ=%.3g: %lld iters over %d repeats\n",
-                tuned_sigma, tuned_iters, adapt_repeats);
-    serve::AdaptConfig bounds;  // default bounds the service ran with
-    if (tuned_sigma < bounds.sigma_min || tuned_sigma > bounds.sigma_max) {
-      std::printf("      FAIL: tuned σ escaped [%g, %g]\n", bounds.sigma_min,
-                  bounds.sigma_max);
-      exit_code = 1;
-    }
-    if (tuned_iters > static_iters) {
-      std::printf("      FAIL: tuned traffic spent more iterations than "
-                  "static\n");
-      exit_code = 1;
-    } else if (exit_code == 0) {
-      std::printf("      ok: tuned <= static, σ stable within bounds\n");
-    }
-  }
-
-  // Gate 4: the acceptance threshold.
+  // Gate 3: the acceptance threshold.
   const double speedup =
       off.seconds > 0.0 && on.seconds > 0.0 ? off.seconds / on.seconds : 0.0;
   std::printf("\nspeedup cache+batching ON vs OFF: %.2fx (threshold 5x)\n",

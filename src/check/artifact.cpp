@@ -26,9 +26,6 @@ std::string artifact_to_json(const CaseSpec& spec, const CheckReport* report) {
      << "    \"threads\": " << spec.threads << ",\n"
      << "    \"inner_threads\": " << spec.inner_threads << ",\n"
      << "    \"nrhs\": " << spec.nrhs << ",\n"
-     << "    \"krylov\": \""
-     << (spec.krylov == KrylovMethod::Bicgstab ? "bicgstab" : "gmres")
-     << "\",\n"
      << "    \"exact_assembly\": " << (spec.exact_assembly ? "true" : "false")
      << ",\n"
      << "    \"serve\": " << (spec.serve ? "true" : "false") << ",\n"
@@ -38,9 +35,7 @@ std::string artifact_to_json(const CaseSpec& spec, const CheckReport* report) {
      << "    \"partition_engine\": \"" << to_string(spec.partition_engine)
      << "\",\n"
      << "    \"partition_values\": \""
-     << partition::to_string(spec.partition_values) << "\",\n"
-     << "    \"adaptive_sigma\": " << (spec.adaptive_sigma ? "true" : "false")
-     << "\n"
+     << partition::to_string(spec.partition_values) << "\"\n"
      << "  }";
   if (report != nullptr && !report->ok()) {
     os << ",\n  \"violations\": [\n";
@@ -85,12 +80,15 @@ CaseSpec artifact_from_json(std::string_view text) {
   spec.threads = static_cast<unsigned>(s.at("threads").number);
   spec.inner_threads = static_cast<unsigned>(s.at("inner_threads").number);
   spec.nrhs = static_cast<index_t>(s.at("nrhs").number);
-  const obsjson::Value& kry = s.at("krylov");
-  PDSLIN_CHECK_MSG(
-      kry.is_string() && (kry.str == "gmres" || kry.str == "bicgstab"),
-      "krylov must be gmres or bicgstab");
-  spec.krylov =
-      kry.str == "bicgstab" ? KrylovMethod::Bicgstab : KrylovMethod::Gmres;
+  // Written by older drivers. GMRES is the only Krylov method, so "gmres"
+  // replays unchanged; a removed lane is refused rather than silently run
+  // as a different case.
+  if (const obsjson::Value* kry = s.find("krylov")) {
+    PDSLIN_CHECK_MSG(kry->is_string(), "krylov must be a string");
+    PDSLIN_CHECK_MSG(kry->str != "bicgstab",
+                     "artifact uses the removed bicgstab Krylov lane");
+    PDSLIN_CHECK_MSG(kry->str == "gmres", "unknown krylov in artifact");
+  }
   spec.exact_assembly = s.at("exact_assembly").boolean;
   spec.serve = s.at("serve").boolean;
   // Optional for corpus files written before the LU-kernel axis existed;
@@ -113,16 +111,18 @@ CaseSpec artifact_from_json(std::string_view text) {
             partition_engine_from_string(pe->str, spec.partition_engine),
         "unknown partition_engine in artifact");
   }
-  // Optional for corpus files written before the value_adapt axis existed;
-  // those ran pattern-only partitioning with the static σ.
+  // Optional for corpus files written before the value-weighting axis
+  // existed; those ran pattern-only partitioning.
   if (const obsjson::Value* pv = s.find("partition_values")) {
     PDSLIN_CHECK_MSG(
         pv->is_string() &&
             partition::value_mode_from_string(pv->str, spec.partition_values),
         "unknown partition_values in artifact");
   }
+  // Written by older drivers; σ is always the request's static drop_s.
   if (const obsjson::Value* as = s.find("adaptive_sigma")) {
-    spec.adaptive_sigma = as->boolean;
+    PDSLIN_CHECK_MSG(!as->boolean,
+                     "artifact uses the removed adaptive_sigma lane");
   }
 
   PDSLIN_CHECK_MSG(spec.n >= 8 && spec.n <= 4096, "artifact n out of range");

@@ -16,7 +16,9 @@ namespace pdslin::check {
 /// {
 ///   "artifact": "pdslin-fuzz-case", "version": 1,
 ///   "spec": { family, n, seed, density, partitioning, num_subdomains,
-///             threads, inner_threads, nrhs, krylov, exact_assembly, serve },
+///             threads, inner_threads, nrhs, exact_assembly, serve,
+///             lu_kernel, levelset_trisolve, partition_engine,
+///             partition_values },
 ///   "violations": [ { checker, detail, magnitude }, … ]   // optional
 /// }
 std::string artifact_to_json(const CaseSpec& spec,

@@ -166,7 +166,6 @@ std::string CaseSpec::to_string() const {
   os << check::to_string(family) << "/n" << n << "/seed" << seed << "/"
      << pdslin::to_string(partitioning) << "/k" << num_subdomains << "/t"
      << threads << "x" << inner_threads << "/nrhs" << nrhs << "/"
-     << (krylov == KrylovMethod::Gmres ? "gmres" : "bicgstab") << "/"
      << (exact_assembly ? "exact" : "dropped") << "/"
      << check::to_string(lu_kernel) << (levelset_trisolve ? "/ts-level" : "")
      << (partition_engine != PartitionEngineAxis::Multilevel
@@ -175,7 +174,7 @@ std::string CaseSpec::to_string() const {
      << (partition_values != partition::ValueMode::Off
              ? std::string("/pv-") + partition::to_string(partition_values)
              : "")
-     << (adaptive_sigma ? "/adapt" : "") << (serve ? "/serve" : "");
+     << (serve ? "/serve" : "");
   return os.str();
 }
 
@@ -432,9 +431,10 @@ CaseSpec sample_case(std::uint64_t base_seed, int i) {
 
   // Config axes: cycle the full matrix so coverage is guaranteed, not
   // merely probable. Bit layout of i: partitioner, threads, nrhs, serve,
-  // krylov, exact/dropped (period 64), and the LU kernel cycles on i mod 3
-  // (scalar on 0, panel otherwise) — coprime with 64, so the joint period
-  // is 192 and every (config, kernel) pair is hit.
+  // (bit 16 unused, so the other lanes keep their seeds), exact/dropped
+  // (period 64), and the LU kernel cycles on i mod 3 (scalar on 0, panel
+  // otherwise) — coprime with 64, so the joint period is 192 and every
+  // (config, kernel) pair is hit.
   const unsigned c = static_cast<unsigned>(i);
   spec.partitioning =
       (c & 1u) ? PartitionMethod::RHB : PartitionMethod::NGD;
@@ -442,7 +442,6 @@ CaseSpec sample_case(std::uint64_t base_seed, int i) {
   spec.inner_threads = (c & 2u) ? 2 : 1;
   spec.nrhs = (c & 4u) ? 3 : 1;
   spec.serve = (c & 8u) != 0;
-  spec.krylov = (c & 16u) ? KrylovMethod::Bicgstab : KrylovMethod::Gmres;
   spec.exact_assembly = (c & 32u) == 0;
   spec.lu_kernel = c % 3u == 0 ? LuKernelAxis::Scalar : LuKernelAxis::Panel;
   // Trisolve engine cycles mod 5 (coprime with the 64-bit layout and the
@@ -466,24 +465,17 @@ CaseSpec sample_case(std::uint64_t base_seed, int i) {
       spec.partition_engine = PartitionEngineAxis::Multilevel;
       break;
   }
-  // value_adapt axis cycles mod 11 (coprime with 64, 3, 5 and 7): pattern-
-  // only keeps the majority share; the value-weighted lanes (abs / logabs)
-  // and the adaptive-σ lanes (alone and combined with logabs) are each
-  // sampled 1-in-11, so every (engine, value-mode, adapt) pair is hit over
-  // a few hundred seeds.
+  // Value-mode axis cycles mod 11 (coprime with 64, 3, 5 and 7): pattern-
+  // only keeps the majority share; logabs is sampled 2-in-11 and abs
+  // 1-in-11, so every (engine, value-mode) pair is hit over a few hundred
+  // seeds.
   switch (c % 11u) {
     case 3u:
+    case 8u:
       spec.partition_values = partition::ValueMode::LogAbs;
       break;
     case 6u:
       spec.partition_values = partition::ValueMode::Abs;
-      break;
-    case 8u:
-      spec.partition_values = partition::ValueMode::LogAbs;
-      spec.adaptive_sigma = true;
-      break;
-    case 9u:
-      spec.adaptive_sigma = true;
       break;
     default:
       break;
@@ -497,7 +489,6 @@ SolverOptions solver_options_for(const CaseSpec& spec) {
   opt.num_subdomains = spec.num_subdomains;
   opt.threads = spec.threads;
   opt.assembly.inner_threads = spec.inner_threads;
-  opt.krylov = spec.krylov;
   opt.seed = spec.seed;
   switch (spec.lu_kernel) {
     case LuKernelAxis::Scalar:
@@ -537,7 +528,6 @@ SolverOptions solver_options_for(const CaseSpec& spec) {
     opt.assembly.drop_s = 0.0;
   }
   opt.gmres.max_iterations = 2000;
-  opt.bicgstab.max_iterations = 2000;
   return opt;
 }
 

@@ -2,7 +2,7 @@
 //
 // A CaseSpec is a tiny, fully reproducible descriptor: matrix family +
 // size/density/seed + one point of the pipeline config matrix (partitioner,
-// threads, nrhs, Krylov method, exact vs dropped assembly, direct vs served).
+// threads, nrhs, exact vs dropped assembly, direct vs served).
 // Everything downstream — the fuzz driver, the minimizer, the corpus replay
 // test — works on specs, never on raw matrices, so any failure is a few
 // bytes of JSON (check/artifact.hpp) instead of a matrix dump.
@@ -78,7 +78,6 @@ struct CaseSpec {
   unsigned threads = 1;        // outer subdomain concurrency
   unsigned inner_threads = 1;  // per-subdomain workers
   index_t nrhs = 1;
-  KrylovMethod krylov = KrylovMethod::Gmres;
   /// true → zero drop thresholds, so the Schur check is exact to roundoff;
   /// false → the default drop_wg/drop_s with a loosened Schur tolerance.
   bool exact_assembly = true;
@@ -98,10 +97,6 @@ struct CaseSpec {
   /// default; value-weighted parallel lanes are re-run serial and diffed
   /// bitwise by the differential runner.
   partition::ValueMode partition_values = partition::ValueMode::Off;
-  /// Adaptive-σ lane: the served path runs with the self-tuning drop
-  /// controller enabled (serve/adapt.hpp). The warm answer must stay
-  /// bitwise equal to a direct solve at the response's tuned_drop_s.
-  bool adaptive_sigma = false;
 
   /// Short id, e.g. "random-diag-dom/n64/seed7/RHB/k4/t3/nrhs2/exact".
   [[nodiscard]] std::string to_string() const;
@@ -112,7 +107,7 @@ struct CaseSpec {
 GeneratedProblem build_case(const CaseSpec& spec);
 
 /// The i-th case of a campaign. Config axes cycle through the full matrix
-/// (partitioner × threads × nrhs × direct/serve × Krylov × exact/dropped)
+/// (partitioner × threads × nrhs × direct/serve × exact/dropped)
 /// while the problem axes (family, n, density, seed) are drawn from
 /// Rng(base_seed, i) — every combination is exercised many times over a
 /// few hundred seeds.

@@ -53,11 +53,6 @@ bool serial(CaseSpec& s) {
   s.inner_threads = 1;
   return true;
 }
-bool gmres_only(CaseSpec& s) {
-  if (s.krylov == KrylovMethod::Gmres) return false;
-  s.krylov = KrylovMethod::Gmres;
-  return true;
-}
 bool sparsify(CaseSpec& s) {
   if (s.density <= 0.02) return false;
   s.density = std::max(0.02, s.density / 2.0);
@@ -97,19 +92,12 @@ bool pattern_only_partition(CaseSpec& s) {
   s.partition_values = partition::ValueMode::Off;
   return true;
 }
-/// Disable the adaptive-σ controller: a failure that survives at the static
-/// drop tolerance is not the controller's fault.
-bool static_sigma(CaseSpec& s) {
-  if (!s.adaptive_sigma) return false;
-  s.adaptive_sigma = false;
-  return true;
-}
 
 constexpr Candidate kLadder[] = {
-    halve_n, halve_subdomains, single_rhs, no_serve,       serial,
-    gmres_only, sparsify,      shave_n,    ngd_partitioner, simpler_lu_kernel,
+    halve_n,         halve_subdomains, single_rhs,
+    no_serve,        serial,           sparsify,
+    shave_n,         ngd_partitioner,  simpler_lu_kernel,
     serial_trisolve, default_partition_engine, pattern_only_partition,
-    static_sigma,
 };
 
 }  // namespace

@@ -24,14 +24,7 @@ enum class RhsOrdering {
   Hypergraph,  // row-net hypergraph partitioning of G (§IV-B)
 };
 
-/// Krylov method for the Schur complement system (Eq. (2)).
-enum class KrylovMethod {
-  Gmres,     // restarted GMRES (PDSLin's default)
-  Bicgstab,  // short-recurrence alternative
-};
-
 const char* to_string(PartitionMethod m);
 const char* to_string(RhsOrdering o);
-const char* to_string(KrylovMethod k);
 
 }  // namespace pdslin

@@ -450,16 +450,7 @@ GmresResult SchurSolver::solve_column(const SchurOperator& op,
   std::optional<PrecondView> precond;
   if (precond_) precond.emplace(*precond_, ctx.precond);
   const LinearOperator* m = precond ? &*precond : nullptr;
-  GmresResult res;
-  if (opt_.krylov == KrylovMethod::Bicgstab) {
-    const BicgstabResult br =
-        bicgstab(op, m, ghat, y, opt_.bicgstab, &ctx.bicgstab);
-    res.iterations = br.iterations;
-    res.relative_residual = br.relative_residual;
-    res.converged = br.converged;
-  } else {
-    res = gmres(op, m, ghat, y, opt_.gmres, &ctx.gmres);
-  }
+  GmresResult res = gmres(op, m, ghat, y, opt_.gmres, &ctx.gmres);
 
   // Back-substitution: u_ℓ = D_ℓ⁻¹ (f_ℓ − E_ℓ y) = dinv_f − D⁻¹ Ê (R y).
   // Interior index sets are disjoint across subdomains, so the x writes
@@ -500,10 +491,8 @@ GmresResult SchurSolver::solve_column(const SchurOperator& op,
       // A converged Schur solve whose back-substitution (through an
       // ill-conditioned D_ℓ) lost the full-system residual did not converge
       // in any sense the caller cares about.
-      const double tol = opt_.krylov == KrylovMethod::Bicgstab
-                             ? opt_.bicgstab.rel_tolerance
-                             : opt_.gmres.rel_tolerance;
-      res.converged = res.converged && true_rel <= tol * 10.0;
+      res.converged =
+          res.converged && true_rel <= opt_.gmres.rel_tolerance * 10.0;
     }
   }
   return res;

@@ -20,7 +20,6 @@
 #include "core/schur_assembly.hpp"
 #include "core/stats.hpp"
 #include "core/subdomain.hpp"
-#include "iterative/bicgstab.hpp"
 #include "iterative/gmres.hpp"
 #include "partition/types.hpp"
 
@@ -56,9 +55,7 @@ struct SolverOptions {
   /// Setup-affecting: part of the serve fingerprint.
   partition::ValueMode partition_values = partition::ValueMode::Off;
   SchurAssemblyOptions assembly;
-  KrylovMethod krylov = KrylovMethod::Gmres;
   GmresOptions gmres;
-  BicgstabOptions bicgstab;
   /// Outer level of the paper's np = k × (np/k) processor layout: at most
   /// this many subdomain tasks run concurrently (on the shared pool) when
   /// > 1 — in factor() *and* in every iterative-solve subdomain sweep (the
@@ -124,7 +121,6 @@ class SchurSolver {
     std::vector<value_t> precond;       // LU(S̃) apply scratch
     std::vector<value_t> resid;         // full-system A·x for the true residual
     GmresWorkspace gmres;
-    BicgstabWorkspace bicgstab;
     /// Buffer (re)allocation events (same counting discipline as
     /// GmresWorkspace::allocations); flat across repeated same-shape solves.
     long long scratch_allocs = 0;
@@ -132,7 +128,7 @@ class SchurSolver {
     /// context (the per-context replacement for SolverStats counters).
     long long applies = 0;
     [[nodiscard]] long long allocations() const {
-      return scratch_allocs + gmres.allocations + bicgstab.allocations;
+      return scratch_allocs + gmres.allocations;
     }
   };
 

@@ -24,14 +24,6 @@ const char* to_string(RhsOrdering o) {
   return "?";
 }
 
-const char* to_string(KrylovMethod k) {
-  switch (k) {
-    case KrylovMethod::Gmres:    return "gmres";
-    case KrylovMethod::Bicgstab: return "bicgstab";
-  }
-  return "?";
-}
-
 namespace {
 double vec_max(const std::vector<double>& v) {
   double m = 0.0;

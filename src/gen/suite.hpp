@@ -19,4 +19,11 @@ std::vector<std::string> suite_names();
 GeneratedProblem make_suite_matrix(const std::string& name, double scale = 1.0,
                                    std::uint64_t seed = 20130520);
 
+/// Resolve a tool's `--matrix` argument: a suite name is generated at
+/// `scale`/`seed`, anything else is read as a Matrix Market file. Throws
+/// pdslin::Error ("cannot open <path>", plus the suite names, since a
+/// mistyped suite name lands here) when it is neither.
+GeneratedProblem load_problem(const std::string& name_or_path, double scale,
+                              std::uint64_t seed);
+
 }  // namespace pdslin

@@ -60,6 +60,10 @@ std::vector<index_t> heavy_connectivity_matching_det(const Hypergraph& h,
   // Mutual-proposal rounds: each leaves the unmatched stragglers whose best
   // partner preferred someone else; with hashed tie-breaking the pool
   // shrinks geometrically, so a fixed round count saturates in practice.
+  // Scores are pairwise and candidates only ever leave the pool, so a
+  // straggler's proposal stays its best while its target is unmatched (and
+  // stays -1 once it found nobody): later rounds rescan only the vertices
+  // whose target was taken by someone else.
   constexpr int kMaxRounds = 8;
   for (int round = 0; round < kMaxRounds; ++round) {
     auto propose = [&](unsigned, long long lo, long long hi) {
@@ -69,8 +73,13 @@ std::vector<index_t> heavy_connectivity_matching_det(const Hypergraph& h,
       std::vector<index_t> touched;
       for (index_t v = static_cast<index_t>(lo); v < static_cast<index_t>(hi);
            ++v) {
-        proposal[v] = -1;
-        if (match[v] >= 0) continue;
+        if (match[v] >= 0) {
+          proposal[v] = -1;
+          continue;
+        }
+        if (round > 0 && (proposal[v] < 0 || match[proposal[v]] < 0)) {
+          continue;
+        }
         touched.clear();
         for (index_t net : h.nets_of(v)) {
           const auto pin_span = h.pins(net);

@@ -62,7 +62,6 @@ void RunReport::add_solver(const SolverOptions& opt, const SolverStats& st) {
   set_config("metric", opt.metric == CutMetric::Con1    ? "con1"
                        : opt.metric == CutMetric::CutNet ? "cnet"
                                                          : "soed");
-  set_config("krylov", to_string(opt.krylov));
   set_config("rhs_ordering", to_string(opt.assembly.rhs_ordering));
   set_config("threads", std::to_string(opt.threads));
   set_config("inner_threads", std::to_string(opt.assembly.inner_threads));

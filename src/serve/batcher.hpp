@@ -62,12 +62,6 @@ struct SolveResponse {
   double queue_seconds = 0.0;
   double setup_seconds = 0.0;           // 0 on a cache hit
   double solve_seconds = 0.0;
-  /// S̃ drop tolerance σ the answering setup was actually built with —
-  /// equals opt.assembly.drop_s unless the adaptive controller
-  /// (serve/adapt.hpp) retuned the class. 0 when no hybrid setup answered
-  /// (fallback/timeout/rejected paths). Re-running a direct solve at this
-  /// σ reproduces the answer bitwise (pinned by the differential harness).
-  double tuned_drop_s = 0.0;
 };
 
 /// A request parked in the service queue.

@@ -78,8 +78,6 @@ std::uint64_t setup_options_hash(const pdslin::SolverOptions& opt) {
   h = hash_double(opt.partition_budget_ms, h);
   h = hash_double(opt.partition_min_quality, h);
   // Value-aware partitioning changes the partition, hence the setup.
-  // Adaptive-σ state (serve/adapt.hpp) is deliberately NOT hashed: one
-  // matrix class keeps one cache entry while its σ is tuned in place.
   h = hash_u64(static_cast<std::uint64_t>(opt.partition_values), h);
   h = hash_u64(opt.seed, h);
   return h;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <exception>
 
-#include "iterative/bicgstab.hpp"
 #include "iterative/gmres.hpp"
 #include "iterative/operators.hpp"
 #include "obs/metrics.hpp"
@@ -45,7 +44,7 @@ SolveResponse make_rejected(const char* why) {
 }  // namespace
 
 SolveService::SolveService(ServiceConfig cfg)
-    : cfg_(cfg), cache_(cfg.cache), adapt_(cfg.adapt) {
+    : cfg_(cfg), cache_(cfg.cache) {
   PDSLIN_CHECK_MSG(cfg_.queue_capacity >= 1, "queue_capacity must be >= 1");
   if (cfg_.workers == 0) cfg_.workers = 1;
   dispatcher_ = std::thread([this] {
@@ -237,16 +236,7 @@ SolveResponse SolveService::fallback_solve(const SolveRequest& req) const {
   for (index_t j = 0; j < req.nrhs; ++j) {
     const std::span<const value_t> b(req.b.data() + j * n, n);
     const std::span<value_t> x(resp.x.data() + j * n, n);
-    GmresResult col;
-    if (req.opt.krylov == KrylovMethod::Bicgstab) {
-      const BicgstabResult br =
-          bicgstab(op, nullptr, b, x, req.opt.bicgstab);
-      col.iterations = br.iterations;
-      col.relative_residual = br.relative_residual;
-      col.converged = br.converged;
-    } else {
-      col = gmres(op, nullptr, b, x, req.opt.gmres);
-    }
+    const GmresResult col = gmres(op, nullptr, b, x, req.opt.gmres);
     all_converged = all_converged && col.converged;
     resp.columns.push_back(col);
   }
@@ -269,12 +259,6 @@ void SolveService::execute_batch(Batch& batch) {
       queue_seconds.push_back(seconds_since(pr.enqueued));
     }
 
-    // --- adaptive σ: which drop tolerance should this class build with? ---
-    // The tuned σ never enters the cache key (fingerprint exclusion: one
-    // matrix class, one entry); it changes what the entry is *built* with.
-    const double sigma =
-        adapt_.tuned_sigma(batch.key, proto.opt.assembly.drop_s);
-
     // --- setup: cache ladder ---
     std::shared_ptr<CachedSetup> setup;
     bool cache_hit = false;
@@ -285,21 +269,11 @@ void SolveService::execute_batch(Batch& batch) {
       setup = cache_.find(batch.key);
       cache_hit = setup != nullptr;
     }
-    if (setup && setup->solver().options().assembly.drop_s != sigma) {
-      // The controller moved σ since this entry was built: rebuild at the
-      // tuned value. The cached partition makes this a symbolic-cost
-      // rebuild, and insert() replaces the stale entry under the same key.
-      setup.reset();
-      cache_hit = false;
-      adapt_.note_rebuild();
-    }
     if (!setup) {
       WallTimer setup_timer;
       try {
         PDSLIN_SPAN("serve.setup");
-        SolverOptions build_opt = proto.opt;
-        build_opt.assembly.drop_s = sigma;
-        auto solver = std::make_shared<SchurSolver>(*proto.a, build_opt);
+        auto solver = std::make_shared<SchurSolver>(*proto.a, proto.opt);
         std::shared_ptr<const DbbdPartition> part;
         if (cfg_.enable_cache) part = cache_.find_partition(batch.key);
         if (part) {
@@ -326,13 +300,13 @@ void SolveService::execute_batch(Batch& batch) {
         if (cfg_.enable_cache) cache_.insert(setup);
       } catch (const std::exception& e) {
         degrade_detail = std::string("setup failed (") + e.what() +
-                         ") — fell back to unpreconditioned Krylov on A";
+                         ") — fell back to unpreconditioned GMRES on A";
         setup.reset();
       }
     }
 
     if (!setup) {
-      // Ladder step 2: the whole batch degrades to plain Krylov.
+      // Ladder step 2: the whole batch degrades to plain GMRES.
       for (std::size_t i = 0; i < batch.requests.size(); ++i) {
         PendingRequest& pr = batch.requests[i];
         SolveResponse resp = fallback_solve(pr.req);
@@ -360,22 +334,6 @@ void SolveService::execute_batch(Batch& batch) {
     setup->return_context(std::move(ctx));
     const double solve_seconds = solve_timer.seconds();
 
-    // --- close the adaptation loop on this batch's iteration counts ---
-    const double built_sigma = setup->solver().options().assembly.drop_s;
-    {
-      double iter_sum = 0.0;
-      bool batch_converged = true;
-      for (const GmresResult& c : cols) {
-        iter_sum += c.iterations;
-        batch_converged = batch_converged && c.converged;
-      }
-      adapt_.observe(batch.key,
-                     cols.empty()
-                         ? 0.0
-                         : iter_sum / static_cast<double>(cols.size()),
-                     batch_converged);
-    }
-
     // --- split the batch back into per-request responses ---
     col = 0;
     for (std::size_t i = 0; i < batch.requests.size(); ++i) {
@@ -391,7 +349,6 @@ void SolveService::execute_batch(Batch& batch) {
       resp.queue_seconds = queue_seconds[i];
       resp.setup_seconds = setup_seconds;
       resp.solve_seconds = solve_seconds;
-      resp.tuned_drop_s = built_sigma;
 
       const bool converged = std::all_of(
           resp.columns.begin(), resp.columns.end(),

@@ -18,7 +18,7 @@
 // Degradation ladder (no request ever takes the service down):
 //   1. hybrid solve with a cached/fresh setup            → Ok
 //   2. setup threw (singular subdomain LU, singular S̃) → plain
-//      unpreconditioned GMRES/BiCGSTAB on A              → Degraded
+//      unpreconditioned GMRES on A                       → Degraded
 //   3. hybrid solve did not converge                     → same fallback;
 //      fallback converged → Degraded, else               → Failed
 //   4. queue deadline exceeded before dispatch           → Timeout
@@ -33,7 +33,6 @@
 #include <mutex>
 #include <thread>
 
-#include "serve/adapt.hpp"
 #include "serve/batcher.hpp"
 #include "serve/factor_cache.hpp"
 
@@ -46,11 +45,6 @@ struct ServiceConfig {
   unsigned workers = 2;
   BatcherConfig batcher;
   FactorCacheConfig cache;
-  /// Self-tuning S̃ drop tolerance (serve/adapt.hpp, docs/SERVE.md). Off by
-  /// default; when enabled, observed Krylov iteration counts nudge σ per
-  /// matrix class within [sigma_min, sigma_max] and stale cache entries are
-  /// rebuilt at the tuned σ (replacing, never duplicating, their entry).
-  AdaptConfig adapt;
   /// Ablation switches (bench/serve measures both off vs. both on).
   bool enable_cache = true;
   bool enable_batching = true;
@@ -105,19 +99,17 @@ class SolveService {
 
   [[nodiscard]] ServiceStats stats() const;
   [[nodiscard]] FactorCache& cache() { return cache_; }
-  [[nodiscard]] AdaptiveDropController& adapt() { return adapt_; }
   [[nodiscard]] const ServiceConfig& config() const { return cfg_; }
 
  private:
   void dispatch_loop();
   void execute_batch(Batch& batch);
-  /// Plain unpreconditioned Krylov on A — ladder steps 2/3.
+  /// Plain unpreconditioned GMRES on A — ladder steps 2/3.
   SolveResponse fallback_solve(const SolveRequest& req) const;
   void respond(PendingRequest& pr, SolveResponse&& resp);
 
   ServiceConfig cfg_;
   FactorCache cache_;
-  AdaptiveDropController adapt_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_queue_;  // dispatcher: work available / stopping

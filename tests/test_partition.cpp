@@ -401,9 +401,8 @@ TEST(PartitionFingerprint, ValueModeSplitsTheCacheAdaptationDoesNot) {
   EXPECT_NE(serve::setup_options_hash(abs), h0);
   EXPECT_NE(serve::setup_options_hash(abs), serve::setup_options_hash(logabs));
 
-  // Adaptation state lives in the serve controller, outside SolverOptions:
-  // a class being re-tuned keeps its key. The only σ input to the hash is
-  // the *static* drop_s the request asked for.
+  // The hash is a pure function of SolverOptions: nothing outside it (such
+  // as serve-side state) can move a class to a new key.
   EXPECT_EQ(serve::setup_options_hash(base), h0) << "hash must be pure";
 }
 

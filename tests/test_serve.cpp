@@ -715,150 +715,5 @@ TEST(ServeService, StopDrainsQueuedDeterministically) {
   EXPECT_EQ(service.stats().completed, 4) << "late submit must not execute";
 }
 
-// ----------------------------------------------------------------- adaptation
-
-TEST(ServeAdapt, DisabledControllerPassesStaticSigmaThrough) {
-  serve::AdaptiveDropController ctl;  // enabled = false by default
-  const CsrMatrix a = testing::grid_laplacian(8, 8);
-  const SetupKey key{serve::fingerprint_of(a),
-                     serve::setup_options_hash(small_options())};
-  EXPECT_EQ(ctl.tuned_sigma(key, 1e-4), 1e-4);
-  EXPECT_EQ(ctl.tuned_sigma(key, 0.0), 0.0);  // not even clamped into bounds
-  ctl.observe(key, 1000.0, false);
-  EXPECT_EQ(ctl.stats().observations, 0);
-  EXPECT_EQ(ctl.state(key).observations, 0);
-}
-
-TEST(ServeAdapt, RatchetTightensOnSlowRelaxesOnFastThenFreezes) {
-  serve::AdaptConfig cfg;
-  cfg.enabled = true;
-  cfg.sigma_min = 1e-8;
-  cfg.sigma_max = 1e-2;
-  serve::AdaptiveDropController ctl(cfg);
-  const CsrMatrix a = testing::grid_laplacian(8, 8);
-  const SetupKey key{serve::fingerprint_of(a),
-                     serve::setup_options_hash(small_options())};
-
-  // Seeding clamps the static σ into bounds.
-  EXPECT_DOUBLE_EQ(ctl.tuned_sigma(key, 0.0), cfg.sigma_min);
-
-  // Fast convergence relaxes (×10 per observation) up to sigma_max …
-  ctl.observe(key, 1.0, true);
-  EXPECT_DOUBLE_EQ(ctl.tuned_sigma(key, 0.0), 1e-7);
-  ctl.observe(key, 1.0, true);
-  EXPECT_DOUBLE_EQ(ctl.tuned_sigma(key, 0.0), 1e-6);
-
-  // … a slow batch tightens back (÷10) and, because the class had relaxed,
-  // freezes it there: no further relaxes, no ping-pong.
-  ctl.observe(key, 1000.0, true);
-  EXPECT_DOUBLE_EQ(ctl.tuned_sigma(key, 0.0), 1e-7);
-  EXPECT_TRUE(ctl.state(key).frozen);
-  ctl.observe(key, 1.0, true);
-  EXPECT_DOUBLE_EQ(ctl.tuned_sigma(key, 0.0), 1e-7) << "frozen class relaxed";
-
-  // Tightening is never blocked (service health beats factor cost) but
-  // respects sigma_min; a non-converged batch counts as maximally slow.
-  for (int i = 0; i < 6; ++i) ctl.observe(key, 0.0, false);
-  EXPECT_DOUBLE_EQ(ctl.tuned_sigma(key, 0.0), cfg.sigma_min);
-  const serve::AdaptState st = ctl.state(key);
-  EXPECT_EQ(st.relaxed, 2);
-  EXPECT_GE(st.tightened, 2);
-  EXPECT_EQ(st.observations, 10);
-}
-
-TEST(ServeAdapt, RepeatTrafficConvergesToStableSigmaOneCacheEntry) {
-  auto a = std::make_shared<const CsrMatrix>(testing::grid_laplacian(10, 10));
-  SolverOptions opt = small_options();
-  opt.assembly.drop_s = 1e-4;
-
-  serve::ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.adapt.enabled = true;
-  cfg.adapt.sigma_min = 1e-7;
-  cfg.adapt.target_high = 0.0;  // every batch reads as slow → pure tighten
-  SolveService service(cfg);
-
-  const SetupKey key{serve::fingerprint_of(*a),
-                     serve::setup_options_hash(opt)};
-  double prev = opt.assembly.drop_s;
-  std::vector<value_t> last_x;
-  double last_sigma = -1.0;
-  for (int i = 0; i < 6; ++i) {
-    const auto r = service.solve(make_request(a, opt, 1, 21));
-    ASSERT_EQ(r.status, ServeStatus::Ok);
-    // σ moves monotonically down and stays within bounds.
-    EXPECT_LE(r.tuned_drop_s, prev);
-    EXPECT_GE(r.tuned_drop_s, cfg.adapt.sigma_min);
-    EXPECT_LE(r.tuned_drop_s, cfg.adapt.sigma_max);
-    prev = r.tuned_drop_s;
-    last_x = r.x;
-    last_sigma = r.tuned_drop_s;
-    // Adaptation state never splits the cache: one entry per matrix class,
-    // rebuilt in place when σ moves.
-    EXPECT_EQ(service.cache().stats().entries, 1u);
-  }
-  // Converged to the floor and stable: the repeat request reuses the entry
-  // untouched and reproduces the answer bitwise.
-  EXPECT_DOUBLE_EQ(last_sigma, cfg.adapt.sigma_min);
-  const auto stable = service.solve(make_request(a, opt, 1, 21));
-  ASSERT_EQ(stable.status, ServeStatus::Ok);
-  EXPECT_DOUBLE_EQ(stable.tuned_drop_s, cfg.adapt.sigma_min);
-  EXPECT_TRUE(stable.cache_hit);
-  ASSERT_EQ(stable.x.size(), last_x.size());
-  EXPECT_EQ(0, std::memcmp(stable.x.data(), last_x.data(),
-                           stable.x.size() * sizeof(value_t)));
-
-  const serve::AdaptStats st = service.adapt().stats();
-  EXPECT_EQ(st.classes, 1u);
-  EXPECT_GE(st.tightened, 3);
-  EXPECT_GE(st.rebuilds, 1) << "σ moves must rebuild the cache entry";
-  EXPECT_DOUBLE_EQ(service.adapt().state(key).sigma, cfg.adapt.sigma_min);
-
-  // Bitwise reproducibility at the tuned σ: a direct (service-free) solver
-  // built at tuned_drop_s gives the served answer bit for bit.
-  SolverOptions direct_opt = opt;
-  direct_opt.assembly.drop_s = stable.tuned_drop_s;
-  SchurSolver direct(*a, direct_opt);
-  direct.setup();
-  direct.factor();
-  std::vector<value_t> xd(static_cast<std::size_t>(a->rows), 0.0);
-  const GmresResult gr = direct.solve(random_rhs(a->rows, 21), xd);
-  ASSERT_TRUE(gr.converged);
-  EXPECT_EQ(0, std::memcmp(stable.x.data(), xd.data(),
-                           xd.size() * sizeof(value_t)));
-}
-
-TEST(ServeAdapt, TunedSigmaSurvivesCacheEviction) {
-  auto a = std::make_shared<const CsrMatrix>(testing::grid_laplacian(10, 10));
-  auto other = std::make_shared<const CsrMatrix>(testing::grid_laplacian(9, 9));
-  SolverOptions opt = small_options();
-  opt.assembly.drop_s = 1e-4;
-
-  serve::ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.cache.max_entries = 1;  // the second class evicts the first
-  cfg.adapt.enabled = true;
-  cfg.adapt.sigma_min = 1e-7;
-  cfg.adapt.target_high = 0.0;  // pure tighten
-  SolveService service(cfg);
-
-  // Tune class A down two steps, then push it out of the factor cache.
-  (void)service.solve(make_request(a, opt, 1, 5));
-  const auto tuned = service.solve(make_request(a, opt, 1, 5));
-  ASSERT_EQ(tuned.status, ServeStatus::Ok);
-  EXPECT_LT(tuned.tuned_drop_s, opt.assembly.drop_s);
-  ASSERT_EQ(service.solve(make_request(other, opt, 1, 6)).status,
-            ServeStatus::Ok);
-  EXPECT_EQ(service.cache().stats().entries, 1u);
-
-  // Class A returns: its entry is gone but its tuning is not — the rebuild
-  // starts from the tuned σ, not from the static one.
-  const auto back = service.solve(make_request(a, opt, 1, 5));
-  ASSERT_EQ(back.status, ServeStatus::Ok);
-  EXPECT_FALSE(back.cache_hit);
-  EXPECT_LE(back.tuned_drop_s, tuned.tuned_drop_s);
-  EXPECT_LT(back.tuned_drop_s, opt.assembly.drop_s);
-}
-
 }  // namespace
 }  // namespace pdslin

@@ -126,27 +126,6 @@ TEST(SolvePath, ParallelSolveIsBitwiseIdenticalToSerial) {
   EXPECT_EQ(s1.stats().solve_applies, s2.stats().solve_applies);
 }
 
-TEST(SolvePath, ParallelBicgstabSolveIsBitwiseIdenticalToSerial) {
-  const CsrMatrix a = testing::grid_laplacian(20, 20);
-  SolverOptions serial;
-  serial.num_subdomains = 4;
-  serial.krylov = KrylovMethod::Bicgstab;
-  serial.seed = 61;
-  SolverOptions threaded = serial;
-  threaded.threads = 3;
-
-  SchurSolver s1(a, serial), s2(a, threaded);
-  s1.setup();
-  s1.factor();
-  s2.setup();
-  s2.factor();
-  const auto b = random_batch(a.rows, 1, 67);
-  std::vector<value_t> x1(a.rows, 0.0), x2(a.rows, 0.0);
-  s1.solve(b, x1);
-  s2.solve(b, x2);
-  EXPECT_EQ(x1, x2);
-}
-
 // k = 1: the whole matrix is one subdomain, the separator is empty, and the
 // Schur iteration degenerates to a zero-dimensional solve — the solve path
 // must reduce to the direct D⁻¹ back-substitution without touching the

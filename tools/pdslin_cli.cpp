@@ -29,7 +29,6 @@
 //                             inside one L/U solve, bitwise == serial)
 //   --trisolve-threads N      workers per level-set solve
 //                             [inner-threads]
-//   --krylov gmres|bicgstab   Schur iterative method          [gmres]
 //   --nrhs N                  right-hand sides solved as one batch      [1]
 //                             (one operator/preconditioner/workspace set
 //                             shared across the columns)
@@ -60,7 +59,6 @@
 #include "gen/suite.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
-#include "sparse/io.hpp"
 #include "sparse/ops.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
@@ -75,13 +73,6 @@ namespace {
   std::fprintf(stderr, "pdslin: %s\n(see the header of tools/pdslin_cli.cpp "
                        "for usage)\n", msg);
   std::exit(2);
-}
-
-bool is_suite_name(const std::string& name) {
-  for (const std::string& s : suite_names()) {
-    if (s == name) return true;
-  }
-  return false;
 }
 
 int run(int argc, char** argv) {
@@ -100,7 +91,6 @@ int run(int argc, char** argv) {
   opt.assembly.drop_wg = 1e-6;
   opt.assembly.drop_s = 1e-5;
   opt.assembly.rhs_ordering = RhsOrdering::Postorder;
-  std::string krylov = "gmres";
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -172,9 +162,6 @@ int run(int argc, char** argv) {
           static_cast<index_t>(std::atoi(next()));
     } else if (arg == "--lu-panel-relax") {
       opt.assembly.lu.panel_relax = std::atof(next());
-    } else if (arg == "--krylov") {
-      krylov = next();
-      if (krylov != "gmres" && krylov != "bicgstab") usage("unknown --krylov");
     } else if (arg == "--nrhs") {
       nrhs = static_cast<index_t>(std::atoi(next()));
       if (nrhs < 1) usage("--nrhs must be >= 1");
@@ -202,7 +189,6 @@ int run(int argc, char** argv) {
     }
   }
   if (matrix.empty()) usage("--matrix is required");
-  opt.krylov = krylov == "bicgstab" ? KrylovMethod::Bicgstab : KrylovMethod::Gmres;
   opt.assembly.trisolve.threads =
       trisolve_threads != 0 ? trisolve_threads
                             : std::max(1u, opt.assembly.inner_threads);
@@ -211,13 +197,9 @@ int run(int argc, char** argv) {
   if (!trace_out.empty()) obs::trace_enable();
 
   GeneratedProblem problem;
-  if (is_suite_name(matrix)) {
-    PDSLIN_SPAN("cli.generate");
-    problem = make_suite_matrix(matrix, scale, opt.seed);
-  } else {
-    PDSLIN_SPAN("cli.read_matrix");
-    problem.a = read_matrix_market_file(matrix);
-    problem.name = matrix;
+  {
+    PDSLIN_SPAN("cli.load_matrix");
+    problem = load_problem(matrix, scale, opt.seed);
   }
   std::printf("matrix %s: n=%d nnz=%d\n", problem.name.c_str(), problem.a.rows,
               problem.a.nnz());

@@ -1,13 +1,14 @@
 // pdslin_fuzz — deterministic seeded differential fuzzer for the whole
-// pipeline (ISSUE 5 tentpole driver).
+// pipeline.
 //
 // Samples problems from the src/gen families plus adversarial generators
 // (near-singular rows, empty separators, dense rows, duplicate entries),
 // runs the full hybrid pipeline across the config matrix (graph vs.
 // hypergraph partitioner, threads ∈ {1, k}, nrhs ∈ {1, m}, direct vs. served
-// cold/cached, GMRES vs. BiCGSTAB, exact vs. dropped assembly, LU kernel
-// scalar vs. supernodal panel, triangular solves serial vs. level-set
-// scheduled) and diffs every stage against the dense oracle; the
+// cold/cached, exact vs. dropped assembly, LU kernel scalar vs. supernodal
+// panel, triangular solves serial vs. level-set scheduled, partition engine
+// lanes, pattern-only vs. value-weighted partitioning; the Schur system is
+// always solved with GMRES) and diffs every stage against the dense oracle; the
 // level-set lanes additionally rerun fully serial and must match bitwise.
 // On failure the case is shrunk to a minimal reproducer and written as a
 // replayable JSON seed artifact.

@@ -51,7 +51,6 @@
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "serve/service.hpp"
-#include "sparse/io.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/rng.hpp"
@@ -103,13 +102,6 @@ std::vector<WorkloadEntry> parse_workload(const std::string& text) {
   return out;
 }
 
-bool is_suite_name(const std::string& name) {
-  for (const std::string& s : suite_names()) {
-    if (s == name) return true;
-  }
-  return false;
-}
-
 /// Matrix + incidence for one workload entry (shared across its repeats).
 struct LoadedMatrix {
   std::shared_ptr<const CsrMatrix> a;
@@ -118,15 +110,10 @@ struct LoadedMatrix {
 
 LoadedMatrix load_matrix(const WorkloadEntry& e) {
   LoadedMatrix m;
-  if (is_suite_name(e.matrix)) {
-    GeneratedProblem p = make_suite_matrix(e.matrix, e.scale, e.seed);
-    m.a = std::make_shared<const CsrMatrix>(std::move(p.a));
-    if (p.incidence.rows > 0) {
-      m.incidence = std::make_shared<const CsrMatrix>(std::move(p.incidence));
-    }
-  } else {
-    m.a = std::make_shared<const CsrMatrix>(
-        read_matrix_market_file(e.matrix));
+  GeneratedProblem p = load_problem(e.matrix, e.scale, e.seed);
+  m.a = std::make_shared<const CsrMatrix>(std::move(p.a));
+  if (p.incidence.rows > 0) {
+    m.incidence = std::make_shared<const CsrMatrix>(std::move(p.incidence));
   }
   return m;
 }
