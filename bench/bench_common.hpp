@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "core/options.hpp"
 #include "core/schur_solver.hpp"
 #include "gen/suite.hpp"
 #include "obs/report.hpp"
@@ -106,13 +107,10 @@ inline PipelineResult run_pipeline(const GeneratedProblem& p, SolverOptions opt)
   return r;
 }
 
-/// Benchmark-default solver options (looser drops than the library default:
-/// the paper runs with thresholding enabled).
+/// Benchmark-default solver options: the tools' defaults
+/// (tool_default_options) under the bench seed.
 inline SolverOptions bench_solver_options() {
-  SolverOptions opt;
-  opt.assembly.drop_wg = 1e-6;
-  opt.assembly.drop_s = 1e-5;
-  opt.partition_epsilon = 0.05;
+  SolverOptions opt = tool_default_options();
   opt.seed = bench_seed();
   return opt;
 }

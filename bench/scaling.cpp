@@ -125,9 +125,7 @@ bool run_lu_kernel_ablation(std::uint64_t seed) {
 }
 
 PhaseRun run_phase(const std::vector<Subdomain>& subs, unsigned inner_threads) {
-  SchurAssemblyOptions opt;
-  opt.drop_wg = 1e-6;
-  opt.drop_s = 1e-5;
+  SchurAssemblyOptions opt = tool_default_options().assembly;
   opt.inner_threads = inner_threads;
   PhaseRun r;
   for (const Subdomain& sub : subs) {

@@ -66,16 +66,15 @@ CaseSpec artifact_from_json(std::string_view text) {
 
   CaseSpec spec;
   const obsjson::Value& fam = s.at("family");
-  PDSLIN_CHECK_MSG(fam.is_string() && family_from_string(fam.str, spec.family),
+  PDSLIN_CHECK_MSG(fam.is_string() && enum_from_string(fam.str, spec.family),
                    "unknown fuzz family in artifact");
   spec.n = static_cast<index_t>(s.at("n").number);
   spec.seed = static_cast<std::uint64_t>(s.at("seed").number);
   spec.density = s.at("density").number;
   const obsjson::Value& part = s.at("partitioning");
-  PDSLIN_CHECK_MSG(part.is_string() && (part.str == "RHB" || part.str == "NGD"),
-                   "partitioning must be RHB or NGD");
-  spec.partitioning =
-      part.str == "RHB" ? PartitionMethod::RHB : PartitionMethod::NGD;
+  PDSLIN_CHECK_MSG(
+      part.is_string() && enum_from_string(part.str, spec.partitioning),
+      "partitioning must be RHB or NGD");
   spec.num_subdomains = static_cast<index_t>(s.at("num_subdomains").number);
   spec.threads = static_cast<unsigned>(s.at("threads").number);
   spec.inner_threads = static_cast<unsigned>(s.at("inner_threads").number);
@@ -94,9 +93,9 @@ CaseSpec artifact_from_json(std::string_view text) {
   // Optional for corpus files written before the LU-kernel axis existed;
   // those ran the (then-only) kernel config, which Panel reproduces bitwise.
   if (const obsjson::Value* lk = s.find("lu_kernel")) {
-    PDSLIN_CHECK_MSG(lk->is_string() &&
-                         lu_kernel_from_string(lk->str, spec.lu_kernel),
-                     "unknown lu_kernel in artifact");
+    PDSLIN_CHECK_MSG(
+        lk->is_string() && enum_from_string(lk->str, spec.lu_kernel),
+        "unknown lu_kernel in artifact");
   }
   // Optional for corpus files written before the trisolve axis existed;
   // those ran the (then-only) serial engine, which the default reproduces.
@@ -107,16 +106,14 @@ CaseSpec artifact_from_json(std::string_view text) {
   // existed; those ran the (then-only) serial multilevel engine.
   if (const obsjson::Value* pe = s.find("partition_engine")) {
     PDSLIN_CHECK_MSG(
-        pe->is_string() &&
-            partition_engine_from_string(pe->str, spec.partition_engine),
+        pe->is_string() && enum_from_string(pe->str, spec.partition_engine),
         "unknown partition_engine in artifact");
   }
   // Optional for corpus files written before the value-weighting axis
   // existed; those ran pattern-only partitioning.
   if (const obsjson::Value* pv = s.find("partition_values")) {
     PDSLIN_CHECK_MSG(
-        pv->is_string() &&
-            partition::value_mode_from_string(pv->str, spec.partition_values),
+        pv->is_string() && enum_from_string(pv->str, spec.partition_values),
         "unknown partition_values in artifact");
   }
   // Written by older drivers; σ is always the request's static drop_s.

@@ -8,15 +8,6 @@ namespace {
 std::atomic<Fault> g_fault{Fault::None};
 }
 
-const char* to_string(Fault f) {
-  switch (f) {
-    case Fault::None: return "none";
-    case Fault::SchurGatherOffByOne: return "schur-gather-off-by-one";
-    case Fault::SchurDropLastEntry: return "schur-drop-last-entry";
-  }
-  return "?";
-}
-
 void inject_fault(Fault f) { g_fault.store(f, std::memory_order_relaxed); }
 
 Fault injected_fault() { return g_fault.load(std::memory_order_relaxed); }

@@ -8,6 +8,8 @@
 // --inject-bug` ever arms them.
 #pragma once
 
+#include "util/enum_names.hpp"
+
 namespace pdslin::check {
 
 enum class Fault {
@@ -20,7 +22,15 @@ enum class Fault {
   SchurDropLastEntry,
 };
 
-const char* to_string(Fault f);
+using pdslin::to_string;
+
+inline auto enum_names(Fault) {
+  static constexpr EnumName<Fault> kNames[] = {
+      {Fault::None, "none"},
+      {Fault::SchurGatherOffByOne, "schur-gather-off-by-one"},
+      {Fault::SchurDropLastEntry, "schur-drop-last-entry"}};
+  return std::span(kNames);
+}
 
 /// Arm a fault process-wide (Fault::None disarms). Thread-safe.
 void inject_fault(Fault f);

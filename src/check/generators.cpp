@@ -15,25 +15,6 @@ namespace pdslin::check {
 
 namespace {
 
-constexpr struct {
-  Family f;
-  const char* name;
-} kFamilies[] = {
-    {Family::Grid, "grid"},
-    {Family::RandomDiagDom, "random-diag-dom"},
-    {Family::PatternSym, "pattern-sym"},
-    {Family::SuiteTdr, "suite-tdr"},
-    {Family::SuiteAsic, "suite-asic"},
-    {Family::BlockDiag, "block-diag"},
-    {Family::DenseRow, "dense-row"},
-    {Family::Duplicates, "duplicates"},
-    {Family::NearSingular, "near-singular"},
-    {Family::SingularBlock, "singular-block"},
-    {Family::Arrow, "arrow"},
-    {Family::AnisoSpd, "aniso-spd"},
-    {Family::ShiftedLaplacian, "shifted-laplacian"},
-};
-
 /// Pattern-symmetric random matrix assembled straight into COO.
 CooMatrix random_pattern_sym(index_t n, double density, Rng& rng,
                              double diag_boost, bool value_symmetric) {
@@ -82,84 +63,6 @@ double suite_scale_for(index_t n, double n_at_unit_scale) {
 }
 
 }  // namespace
-
-const char* to_string(Family f) {
-  for (const auto& e : kFamilies) {
-    if (e.f == f) return e.name;
-  }
-  return "?";
-}
-
-bool family_from_string(std::string_view name, Family& out) {
-  for (const auto& e : kFamilies) {
-    if (name == e.name) {
-      out = e.f;
-      return true;
-    }
-  }
-  return false;
-}
-
-namespace {
-
-constexpr struct {
-  LuKernelAxis k;
-  const char* name;
-} kLuKernels[] = {
-    {LuKernelAxis::Scalar, "lu-scalar"},
-    {LuKernelAxis::Panel, "lu-panel"},
-};
-
-}  // namespace
-
-const char* to_string(LuKernelAxis k) {
-  for (const auto& e : kLuKernels) {
-    if (e.k == k) return e.name;
-  }
-  return "?";
-}
-
-bool lu_kernel_from_string(std::string_view name, LuKernelAxis& out) {
-  for (const auto& e : kLuKernels) {
-    if (name == e.name) {
-      out = e.k;
-      return true;
-    }
-  }
-  return false;
-}
-
-namespace {
-
-constexpr struct {
-  PartitionEngineAxis e;
-  const char* name;
-} kPartitionEngines[] = {
-    {PartitionEngineAxis::Multilevel, "pe-multilevel"},
-    {PartitionEngineAxis::ParallelMultilevel, "pe-parallel"},
-    {PartitionEngineAxis::Geometric, "pe-geometric"},
-    {PartitionEngineAxis::BudgetZero, "pe-budget0"},
-};
-
-}  // namespace
-
-const char* to_string(PartitionEngineAxis e) {
-  for (const auto& entry : kPartitionEngines) {
-    if (entry.e == e) return entry.name;
-  }
-  return "?";
-}
-
-bool partition_engine_from_string(std::string_view name,
-                                  PartitionEngineAxis& out) {
-  for (const auto& entry : kPartitionEngines) {
-    if (name == entry.name) {
-      out = entry.e;
-      return true;
-    }
-  }
-  return false;
-}
 
 std::string CaseSpec::to_string() const {
   std::ostringstream os;

@@ -10,10 +10,10 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "core/schur_solver.hpp"
 #include "gen/problem.hpp"
+#include "util/enum_names.hpp"
 
 namespace pdslin::check {
 
@@ -35,9 +35,26 @@ enum class Family {
   ShiftedLaplacian,  // grid Laplacian − shift·I: symmetric indefinite
 };
 
-const char* to_string(Family f);
-/// Parse the to_string() name; returns false on unknown names.
-bool family_from_string(std::string_view name, Family& out);
+using pdslin::to_string;
+
+inline auto enum_names(Family) {
+  static constexpr EnumName<Family> kNames[] = {
+      {Family::Grid, "grid"},
+      {Family::RandomDiagDom, "random-diag-dom"},
+      {Family::PatternSym, "pattern-sym"},
+      {Family::SuiteTdr, "suite-tdr"},
+      {Family::SuiteAsic, "suite-asic"},
+      {Family::BlockDiag, "block-diag"},
+      {Family::DenseRow, "dense-row"},
+      {Family::Duplicates, "duplicates"},
+      {Family::NearSingular, "near-singular"},
+      {Family::SingularBlock, "singular-block"},
+      {Family::Arrow, "arrow"},
+      {Family::AnisoSpd, "aniso-spd"},
+      {Family::ShiftedLaplacian, "shifted-laplacian"},
+  };
+  return std::span(kNames);
+}
 
 /// LU factorization kernel axis. Scalar and Panel must agree bitwise (the
 /// differential runner enforces it).
@@ -46,8 +63,11 @@ enum class LuKernelAxis {
   Panel,   // supernodal blocked kernel (bitwise == Scalar by contract)
 };
 
-const char* to_string(LuKernelAxis k);
-bool lu_kernel_from_string(std::string_view name, LuKernelAxis& out);
+inline auto enum_names(LuKernelAxis) {
+  static constexpr EnumName<LuKernelAxis> kNames[] = {
+      {LuKernelAxis::Scalar, "lu-scalar"}, {LuKernelAxis::Panel, "lu-panel"}};
+  return std::span(kNames);
+}
 
 /// Partition-engine axis (src/partition/). Multilevel and ParallelMultilevel
 /// must agree bitwise (the engine's thread-count determinism contract; the
@@ -62,9 +82,14 @@ enum class PartitionEngineAxis {
   BudgetZero,          // budget exhausted at entry → full degradation
 };
 
-const char* to_string(PartitionEngineAxis e);
-bool partition_engine_from_string(std::string_view name,
-                                  PartitionEngineAxis& out);
+inline auto enum_names(PartitionEngineAxis) {
+  static constexpr EnumName<PartitionEngineAxis> kNames[] = {
+      {PartitionEngineAxis::Multilevel, "pe-multilevel"},
+      {PartitionEngineAxis::ParallelMultilevel, "pe-parallel"},
+      {PartitionEngineAxis::Geometric, "pe-geometric"},
+      {PartitionEngineAxis::BudgetZero, "pe-budget0"}};
+  return std::span(kNames);
+}
 
 /// One fuzz case: problem descriptor + pipeline configuration.
 struct CaseSpec {

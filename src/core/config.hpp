@@ -2,6 +2,7 @@
 #pragma once
 
 #include "hypergraph/metrics.hpp"
+#include "util/enum_names.hpp"
 
 namespace pdslin {
 
@@ -24,7 +25,24 @@ enum class RhsOrdering {
   Hypergraph,  // row-net hypergraph partitioning of G (§IV-B)
 };
 
-const char* to_string(PartitionMethod m);
-const char* to_string(RhsOrdering o);
+inline auto enum_names(PartitionMethod) {
+  static constexpr EnumName<PartitionMethod> kNames[] = {
+      {PartitionMethod::NGD, "NGD"}, {PartitionMethod::RHB, "RHB"}};
+  return std::span(kNames);
+}
+
+/// Named by the constraint count, the --constraints vocabulary.
+inline auto enum_names(RhbConstraintMode) {
+  static constexpr EnumName<RhbConstraintMode> kNames[] = {
+      {RhbConstraintMode::SingleW1, "1"}, {RhbConstraintMode::MultiW1W2, "2"}};
+  return std::span(kNames);
+}
+
+inline auto enum_names(RhsOrdering) {
+  static constexpr EnumName<RhsOrdering> kNames[] = {
+      {RhsOrdering::Natural, "natural"}, {RhsOrdering::Postorder, "postorder"},
+      {RhsOrdering::Hypergraph, "hypergraph"}};
+  return std::span(kNames);
+}
 
 }  // namespace pdslin

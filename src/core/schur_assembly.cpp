@@ -70,7 +70,6 @@ std::vector<index_t> choose_rhs_order(
       patterns_out = symbolic_solve_patterns(l, rhs);
       HypergraphRhsOptions hopt = opt.hg_rhs;
       hopt.block_size = opt.rhs_block_size;
-      hopt.seed = opt.seed;
       order = hypergraph_rhs_ordering(patterns_out, rhs.rows, hopt).col_order;
       break;
     }

@@ -5,7 +5,6 @@
 // sparsification S̃.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -38,7 +37,6 @@ struct SchurAssemblyOptions {
   /// one L/U solve (level-scheduled row-gather, bitwise == serial), so it is
   /// deliberately excluded from the serve fingerprint.
   TrisolveOptions trisolve;
-  std::uint64_t seed = 1;
 };
 
 /// Everything the solver needs to apply D_ℓ⁻¹ later, plus T̃_ℓ and the

@@ -415,8 +415,8 @@ class SchurSolver::SchurOperator final : public LinearOperator {
 
 GmresResult SchurSolver::solve_column(const SchurOperator& op,
                                       std::span<const value_t> b,
-                                      std::span<value_t> x,
-                                      SolveContext& ctx) const {
+                                      std::span<value_t> x, SolveContext& ctx,
+                                      const GmresOptions& gmres_opt) const {
   const index_t k = opt_.num_subdomains;
   const index_t ns = dbbd_.separator_size();
   const index_t sep_begin = dbbd_.domain_offset[k];
@@ -450,7 +450,7 @@ GmresResult SchurSolver::solve_column(const SchurOperator& op,
   std::optional<PrecondView> precond;
   if (precond_) precond.emplace(*precond_, ctx.precond);
   const LinearOperator* m = precond ? &*precond : nullptr;
-  GmresResult res = gmres(op, m, ghat, y, opt_.gmres, &ctx.gmres);
+  GmresResult res = gmres(op, m, ghat, y, gmres_opt, &ctx.gmres);
 
   // Back-substitution: u_ℓ = D_ℓ⁻¹ (f_ℓ − E_ℓ y) = dinv_f − D⁻¹ Ê (R y).
   // Interior index sets are disjoint across subdomains, so the x writes
@@ -492,7 +492,7 @@ GmresResult SchurSolver::solve_column(const SchurOperator& op,
       // ill-conditioned D_ℓ) lost the full-system residual did not converge
       // in any sense the caller cares about.
       res.converged =
-          res.converged && true_rel <= opt_.gmres.rel_tolerance * 10.0;
+          res.converged && true_rel <= gmres_opt.rel_tolerance * 10.0;
     }
   }
   return res;
@@ -501,7 +501,8 @@ GmresResult SchurSolver::solve_column(const SchurOperator& op,
 std::vector<GmresResult> SchurSolver::solve_multi(std::span<const value_t> b,
                                                   std::span<value_t> x,
                                                   index_t nrhs,
-                                                  SolveContext& ctx) const {
+                                                  SolveContext& ctx,
+                                                  const GmresOptions& gmres_opt) const {
   PDSLIN_CHECK_MSG(factor_done_, "call factor() before solve()");
   PDSLIN_CHECK_MSG(nrhs >= 1, "need at least one right-hand side");
   const auto n = static_cast<std::size_t>(a_.rows);
@@ -518,14 +519,16 @@ std::vector<GmresResult> SchurSolver::solve_multi(std::span<const value_t> b,
   for (index_t j = 0; j < nrhs; ++j) {
     PDSLIN_SPAN_I("solve.column", j);
     results.push_back(
-        solve_column(op, b.subspan(j * n, n), x.subspan(j * n, n), ctx));
+        solve_column(op, b.subspan(j * n, n), x.subspan(j * n, n), ctx,
+                     gmres_opt));
   }
   return results;
 }
 
 GmresResult SchurSolver::solve(std::span<const value_t> b,
-                               std::span<value_t> x, SolveContext& ctx) const {
-  return solve_multi(b, x, 1, ctx).front();
+                               std::span<value_t> x, SolveContext& ctx,
+                               const GmresOptions& gmres_opt) const {
+  return solve_multi(b, x, 1, ctx, gmres_opt).front();
 }
 
 std::vector<GmresResult> SchurSolver::solve_multi(std::span<const value_t> b,
@@ -534,7 +537,7 @@ std::vector<GmresResult> SchurSolver::solve_multi(std::span<const value_t> b,
   WallTimer timer;
   CpuTimer cpu;
   const long long applies_before = ctx_.applies;
-  std::vector<GmresResult> results = solve_multi(b, x, nrhs, ctx_);
+  std::vector<GmresResult> results = solve_multi(b, x, nrhs, ctx_, opt_.gmres);
 
   stats_.solve_seconds = timer.seconds();
   stats_.solve_cpu_seconds = cpu.seconds();

@@ -152,12 +152,15 @@ class SchurSolver {
 
   /// Reentrant solve against a caller-owned context: const, touches no
   /// solver state, safe to call from any number of threads concurrently
-  /// (one context per thread). Does not update stats().
+  /// (one context per thread). Does not update stats(). GMRES runs under
+  /// the caller's `gmres`, not options().gmres: one cached setup serves
+  /// requests whose GMRES options differ.
   GmresResult solve(std::span<const value_t> b, std::span<value_t> x,
-                    SolveContext& ctx) const;
+                    SolveContext& ctx, const GmresOptions& gmres) const;
   std::vector<GmresResult> solve_multi(std::span<const value_t> b,
                                        std::span<value_t> x, index_t nrhs,
-                                       SolveContext& ctx) const;
+                                       SolveContext& ctx,
+                                       const GmresOptions& gmres) const;
 
   [[nodiscard]] const SolverStats& stats() const { return stats_; }
   [[nodiscard]] const CsrMatrix& matrix() const { return a_; }
@@ -195,7 +198,8 @@ class SchurSolver {
   void for_each_subdomain(const std::function<void(int)>& body) const;
   /// One column of the batched solve; assumes the context is prepared.
   GmresResult solve_column(const SchurOperator& op, std::span<const value_t> b,
-                           std::span<value_t> x, SolveContext& ctx) const;
+                           std::span<value_t> x, SolveContext& ctx,
+                           const GmresOptions& gmres) const;
 
   CsrMatrix a_;
   SolverOptions opt_;

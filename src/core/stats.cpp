@@ -7,23 +7,6 @@
 
 namespace pdslin {
 
-const char* to_string(PartitionMethod m) {
-  switch (m) {
-    case PartitionMethod::NGD: return "NGD";
-    case PartitionMethod::RHB: return "RHB";
-  }
-  return "?";
-}
-
-const char* to_string(RhsOrdering o) {
-  switch (o) {
-    case RhsOrdering::Natural:    return "natural";
-    case RhsOrdering::Postorder:  return "postorder";
-    case RhsOrdering::Hypergraph: return "hypergraph";
-  }
-  return "?";
-}
-
 namespace {
 double vec_max(const std::vector<double>& v) {
   double m = 0.0;

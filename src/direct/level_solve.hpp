@@ -38,6 +38,13 @@ enum class TrisolveScheduler {
   LevelSet,  // level-scheduled row-gather on the shared pool
 };
 
+inline auto enum_names(TrisolveScheduler) {
+  static constexpr EnumName<TrisolveScheduler> kNames[] = {
+      {TrisolveScheduler::Serial, "serial"},
+      {TrisolveScheduler::LevelSet, "levelset"}};
+  return std::span(kNames);
+}
+
 /// How triangular solves execute; plumbed through SchurAssemblyOptions and
 /// the CLI (--trisolve). Deliberately *excluded* from the serve fingerprint:
 /// both schedulers produce bitwise-identical x, so differing choices must

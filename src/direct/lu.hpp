@@ -29,6 +29,7 @@
 
 #include "direct/supernodes.hpp"
 #include "sparse/csr.hpp"
+#include "util/enum_names.hpp"
 
 namespace pdslin {
 
@@ -36,6 +37,12 @@ enum class LuKernel {
   Scalar,  // Gilbert–Peierls reference kernel
   Panel,   // supernodal blocked kernel with scalar fallback
 };
+
+inline auto enum_names(LuKernel) {
+  static constexpr EnumName<LuKernel> kNames[] = {{LuKernel::Scalar, "scalar"},
+                                                  {LuKernel::Panel, "panel"}};
+  return std::span(kNames);
+}
 
 struct LuOptions {
   /// Threshold pivoting: keep the diagonal pivot when

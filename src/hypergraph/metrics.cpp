@@ -4,15 +4,6 @@
 
 namespace pdslin {
 
-const char* to_string(CutMetric m) {
-  switch (m) {
-    case CutMetric::Con1:   return "con1";
-    case CutMetric::CutNet: return "cnet";
-    case CutMetric::Soed:   return "soed";
-  }
-  return "?";
-}
-
 std::vector<index_t> net_connectivity(const Hypergraph& h,
                                       const std::vector<index_t>& part,
                                       index_t num_parts) {

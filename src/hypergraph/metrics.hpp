@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "hypergraph/hypergraph.hpp"
+#include "util/enum_names.hpp"
 
 namespace pdslin {
 
@@ -14,7 +15,12 @@ enum class CutMetric {
   Soed,    // Σ_{λ(j)>1} λ(j)           — Eq. (9)
 };
 
-const char* to_string(CutMetric m);
+inline auto enum_names(CutMetric) {
+  static constexpr EnumName<CutMetric> kNames[] = {{CutMetric::Con1, "con1"},
+                                                   {CutMetric::CutNet, "cnet"},
+                                                   {CutMetric::Soed, "soed"}};
+  return std::span(kNames);
+}
 
 /// Connectivity λ(j) of every net under the k-way partition `part`
 /// (entries with part[v] < 0 are ignored, supporting separator labels).

@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <sstream>
 
-#include "core/schur_solver.hpp"
+#include "core/options.hpp"
 #include "core/stats.hpp"
 #include "obs/json.hpp"
 #include "util/error.hpp"
@@ -57,22 +57,11 @@ const std::string* RunReport::find_config(std::string_view key) const {
 }
 
 void RunReport::add_solver(const SolverOptions& opt, const SolverStats& st) {
-  set_config("partitioning", to_string(opt.partitioning));
-  set_config("num_subdomains", std::to_string(opt.num_subdomains));
-  set_config("metric", opt.metric == CutMetric::Con1    ? "con1"
-                       : opt.metric == CutMetric::CutNet ? "cnet"
-                                                         : "soed");
-  set_config("rhs_ordering", to_string(opt.assembly.rhs_ordering));
-  set_config("threads", std::to_string(opt.threads));
-  set_config("inner_threads", std::to_string(opt.assembly.inner_threads));
-  set_config("drop_wg", json::number_to_string(opt.assembly.drop_wg));
-  set_config("drop_s", json::number_to_string(opt.assembly.drop_s));
-  set_config("epsilon", json::number_to_string(opt.partition_epsilon));
-  set_config("partition_engine", partition::to_string(opt.partition_engine));
-  set_config("partition_budget_ms",
-             json::number_to_string(opt.partition_budget_ms));
-  set_config("partition_values", partition::to_string(opt.partition_values));
-  set_config("seed", std::to_string(opt.seed));
+  visit_options(
+      [&](const OptionRow& row, const auto& v) {
+        set_config(row.key, format_option_value(v));
+      },
+      opt);
 
   set_phase("partition", st.partition_seconds);
   set_phase("subdomains", st.subdomain_wall_seconds);

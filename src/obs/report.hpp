@@ -45,8 +45,10 @@ struct RunReport {
   [[nodiscard]] const double* find_stat(std::string_view name) const;
   [[nodiscard]] const std::string* find_config(std::string_view key) const;
 
-  /// Fill config/phases/stats from a finished solver run. Adds to whatever
-  /// is already present (call set_config first for producer-specific keys).
+  /// Fill config/phases/stats from a finished solver run: one config key
+  /// per row of the SolverOptions table (core/options.hpp). Adds to
+  /// whatever is already present (call set_config first for
+  /// producer-specific keys).
   void add_solver(const SolverOptions& opt, const SolverStats& stats);
   /// Capture the current metrics registry.
   void capture_metrics();

@@ -5,62 +5,6 @@
 
 namespace pdslin::partition {
 
-namespace {
-
-constexpr struct {
-  Engine e;
-  const char* name;
-} kEngines[] = {
-    {Engine::Auto, "auto"},
-    {Engine::Multilevel, "multilevel"},
-    {Engine::Geometric, "geometric"},
-};
-
-constexpr struct {
-  ValueMode m;
-  const char* name;
-} kValueModes[] = {
-    {ValueMode::Off, "off"},
-    {ValueMode::Abs, "abs"},
-    {ValueMode::LogAbs, "logabs"},
-};
-
-}  // namespace
-
-const char* to_string(ValueMode m) {
-  for (const auto& entry : kValueModes) {
-    if (entry.m == m) return entry.name;
-  }
-  return "?";
-}
-
-bool value_mode_from_string(std::string_view name, ValueMode& out) {
-  for (const auto& entry : kValueModes) {
-    if (name == entry.name) {
-      out = entry.m;
-      return true;
-    }
-  }
-  return false;
-}
-
-const char* to_string(Engine e) {
-  for (const auto& entry : kEngines) {
-    if (entry.e == e) return entry.name;
-  }
-  return "?";
-}
-
-bool engine_from_string(std::string_view name, Engine& out) {
-  for (const auto& entry : kEngines) {
-    if (name == entry.name) {
-      out = entry.e;
-      return true;
-    }
-  }
-  return false;
-}
-
 int value_weight(double absval, double maxabs, ValueMode m) {
   if (m == ValueMode::Off) return 1;
   if (!(absval > 0.0) || !(maxabs > 0.0) || !std::isfinite(absval) ||

@@ -6,8 +6,7 @@
 // every translation unit that configures a solver.
 #pragma once
 
-#include <string>
-#include <string_view>
+#include "util/enum_names.hpp"
 
 namespace pdslin::partition {
 
@@ -27,10 +26,14 @@ enum class Engine {
   Geometric,
 };
 
-const char* to_string(Engine e);
-/// Parse the to_string() name ("auto", "multilevel", "geometric");
-/// returns false on unknown names.
-bool engine_from_string(std::string_view name, Engine& out);
+using pdslin::to_string;
+
+inline auto enum_names(Engine) {
+  static constexpr EnumName<Engine> kNames[] = {
+      {Engine::Auto, "auto"}, {Engine::Multilevel, "multilevel"},
+      {Engine::Geometric, "geometric"}};
+  return std::span(kNames);
+}
 
 /// Value-aware partitioning (--partition-values): weight hyperedges/graph
 /// edges by |a_ij| magnitude instead of treating every connection as cost 1
@@ -55,10 +58,12 @@ enum class ValueMode {
 /// that weight sums stay far from index_t saturation on sane inputs.
 inline constexpr int kValueWeightMax = 32;
 
-const char* to_string(ValueMode m);
-/// Parse the to_string() name ("off", "abs", "logabs"); returns false on
-/// unknown names.
-bool value_mode_from_string(std::string_view name, ValueMode& out);
+inline auto enum_names(ValueMode) {
+  static constexpr EnumName<ValueMode> kNames[] = {
+      {ValueMode::Off, "off"}, {ValueMode::Abs, "abs"},
+      {ValueMode::LogAbs, "logabs"}};
+  return std::span(kNames);
+}
 
 /// Bucket one magnitude into an integer weight in [1, kValueWeightMax]
 /// relative to the reference magnitude `maxabs` (the maximum over the

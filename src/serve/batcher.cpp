@@ -1,30 +1,25 @@
 #include "serve/batcher.hpp"
 
+#include "core/options.hpp"
 #include "util/error.hpp"
 
 namespace pdslin::serve {
 
-const char* to_string(ServeStatus s) {
-  switch (s) {
-    case ServeStatus::Ok: return "ok";
-    case ServeStatus::Degraded: return "degraded";
-    case ServeStatus::Timeout: return "timeout";
-    case ServeStatus::Rejected: return "rejected";
-    case ServeStatus::Failed: return "failed";
-  }
-  return "unknown";
-}
-
 namespace {
 
-/// Move every key-matching request from `queue` into `batch` while the
-/// width budget holds. Non-matching requests keep their relative order.
+/// Move every request from `queue` into `batch` that matches its key and
+/// its solve options (one solve_multi call runs one set of GMRES options)
+/// while the width budget holds. Non-matching requests keep their relative
+/// order.
 std::size_t absorb_matching(Batch& batch, std::deque<PendingRequest>& queue,
                             index_t max_nrhs) {
   std::size_t absorbed = 0;
   index_t width = batch.total_nrhs();
   for (auto it = queue.begin(); it != queue.end();) {
-    if (it->key == batch.key && width + it->req.nrhs <= max_nrhs) {
+    // front() is re-read every time: absorbing may reallocate the vector.
+    if (it->key == batch.key &&
+        same_solve_options(it->req.opt, batch.requests.front().req.opt) &&
+        width + it->req.nrhs <= max_nrhs) {
       width += it->req.nrhs;
       batch.requests.push_back(std::move(*it));
       it = queue.erase(it);

@@ -19,6 +19,7 @@
 
 #include "core/schur_solver.hpp"
 #include "serve/fingerprint.hpp"
+#include "util/enum_names.hpp"
 
 namespace pdslin::serve {
 
@@ -31,7 +32,15 @@ enum class ServeStatus {
   Failed,    // no path produced a converged answer (x = best effort)
 };
 
-const char* to_string(ServeStatus s);
+using pdslin::to_string;
+
+inline auto enum_names(ServeStatus) {
+  static constexpr EnumName<ServeStatus> kNames[] = {
+      {ServeStatus::Ok, "ok"}, {ServeStatus::Degraded, "degraded"},
+      {ServeStatus::Timeout, "timeout"}, {ServeStatus::Rejected, "rejected"},
+      {ServeStatus::Failed, "failed"}};
+  return std::span(kNames);
+}
 
 /// One solve job: A X = B for `nrhs` column-major right-hand sides. The
 /// matrix travels by shared_ptr so a workload of repeated systems carries
@@ -72,8 +81,9 @@ struct PendingRequest {
   std::chrono::steady_clock::time_point enqueued;
 };
 
-/// Requests travelling together: all share `key`, so one cached setup and
-/// one solve_multi call answers every member.
+/// Requests travelling together: all share `key` and their Solve-role
+/// options (core/options.hpp), so one cached setup and one solve_multi call
+/// answers every member.
 struct Batch {
   SetupKey key;
   std::vector<PendingRequest> requests;
@@ -93,12 +103,12 @@ struct BatcherConfig {
   double max_wait_seconds = 0.002;
 };
 
-/// Pop the front request and every same-key request currently queued, up to
-/// cfg.max_batch_nrhs. Other-key requests keep their relative order. The
-/// queue must be non-empty.
+/// Pop the front request and every queued request with the same key and
+/// solve options, up to cfg.max_batch_nrhs. The others keep their relative
+/// order. The queue must be non-empty.
 Batch take_batch(std::deque<PendingRequest>& queue, const BatcherConfig& cfg);
 
-/// Move further same-key arrivals into an open batch (after a max-wait
+/// Move further matching arrivals into an open batch (after a max-wait
 /// sleep). Returns the number of requests absorbed.
 std::size_t extend_batch(Batch& batch, std::deque<PendingRequest>& queue,
                          const BatcherConfig& cfg);

@@ -42,10 +42,10 @@ std::uint64_t hash_bytes(const void* data, std::size_t len,
 /// Fingerprint a matrix: O(nnz) hashing, no allocation.
 Fingerprint fingerprint_of(const CsrMatrix& a);
 
-/// Hash the setup-affecting SolverOptions fields (partitioner, k, metric,
-/// constraints, epsilon, drop thresholds, orderings, threads-independent
-/// seed). Pure solve-phase knobs (Krylov tolerances, nrhs) are excluded so
-/// requests differing only there still share a setup and can batch.
+/// Hash the Setup rows of the SolverOptions table (core/options.hpp): the
+/// fields that change the setup's bits. Solve rows (GMRES) and Neutral rows
+/// (thread counts, the trisolve scheduler, §IV-B ordering internals) are
+/// left out, so requests differing only there share a cached setup.
 std::uint64_t setup_options_hash(const pdslin::SolverOptions& opt);
 
 /// Full cache key: matrix fingerprint + setup-affecting options.

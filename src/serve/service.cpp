@@ -318,7 +318,8 @@ void SolveService::execute_batch(Batch& batch) {
       return;
     }
 
-    // --- one coalesced multi-RHS solve ---
+    // --- one coalesced multi-RHS solve, under the members' own GMRES
+    // options (equal across the batch; the cached setup's may differ) ---
     std::vector<value_t> bs(n * static_cast<std::size_t>(total));
     std::vector<value_t> xs(n * static_cast<std::size_t>(total), 0.0);
     std::size_t col = 0;
@@ -330,7 +331,7 @@ void SolveService::execute_batch(Batch& batch) {
     WallTimer solve_timer;
     auto ctx = setup->take_context();
     const std::vector<GmresResult> cols =
-        setup->solver().solve_multi(bs, xs, total, *ctx);
+        setup->solver().solve_multi(bs, xs, total, *ctx, proto.opt.gmres);
     setup->return_context(std::move(ctx));
     const double solve_seconds = solve_timer.seconds();
 

@@ -6,6 +6,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace pdslin {
 
@@ -13,16 +14,32 @@ namespace pdslin {
 /// (bad dimensions, non-finite input where finiteness is required, etc.).
 class Error : public std::runtime_error {
  public:
-  explicit Error(const std::string& what) : std::runtime_error(what) {}
+  explicit Error(const std::string& what, std::string expression = {},
+                 std::string location = {})
+      : std::runtime_error(what),
+        expression_(std::move(expression)),
+        location_(std::move(location)) {}
+
+  /// For a failed PDSLIN_CHECK, the check's source text and its
+  /// "<file>:<line>", kept for logs; empty otherwise.
+  [[nodiscard]] const std::string& expression() const { return expression_; }
+  [[nodiscard]] const std::string& location() const { return location_; }
+
+ private:
+  std::string expression_;
+  std::string location_;
 };
 
 namespace detail {
+/// what() is the check's message, the sentence meant for the user; a check
+/// without one reads "pdslin check failed: <expr> at <file>:<line>".
 [[noreturn]] inline void raise(const char* expr, const char* file, int line,
                                const std::string& msg) {
-  std::string full = std::string("pdslin check failed: ") + expr + " at " +
-                     file + ":" + std::to_string(line);
-  if (!msg.empty()) full += " — " + msg;
-  throw Error(full);
+  const std::string where = std::string(file) + ":" + std::to_string(line);
+  throw Error(msg.empty() ? "pdslin check failed: " + std::string(expr) +
+                                " at " + where
+                          : msg,
+              expr, where);
 }
 }  // namespace detail
 

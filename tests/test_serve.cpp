@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <chrono>
 #include <cstring>
+#include <deque>
 #include <future>
 #include <memory>
 #include <string>
@@ -380,7 +381,8 @@ TEST(ServeFactorCache, EvictionRacesInFlightPinning) {
             const auto b =
                 random_rhs(mats[j].rows, static_cast<std::uint64_t>(i));
             std::vector<value_t> x(mats[j].rows, 0.0);
-            (void)hit->solver().solve(b, x, *ctx);
+            (void)hit->solver().solve(b, x, *ctx,
+                                      hit->solver().options().gmres);
             hit->return_context(std::move(ctx));
             pinned_uses.fetch_add(1, std::memory_order_relaxed);
           }
@@ -422,11 +424,11 @@ TEST(ServeConcurrentSolve, TwoThreadsMatchSerialBitwise) {
   std::vector<value_t> x1s(a.rows, 0.0), x2s(a.rows, 0.0);
   {
     SchurSolver::SolveContext ctx;
-    ASSERT_TRUE(shared.solve(b1, x1s, ctx).converged);
+    ASSERT_TRUE(shared.solve(b1, x1s, ctx, opt.gmres).converged);
   }
   {
     SchurSolver::SolveContext ctx;
-    ASSERT_TRUE(shared.solve(b2, x2s, ctx).converged);
+    ASSERT_TRUE(shared.solve(b2, x2s, ctx, opt.gmres).converged);
   }
 
   for (int round = 0; round < 4; ++round) {
@@ -434,11 +436,11 @@ TEST(ServeConcurrentSolve, TwoThreadsMatchSerialBitwise) {
     GmresResult r1, r2;
     std::thread t1([&] {
       SchurSolver::SolveContext ctx;
-      r1 = shared.solve(b1, x1, ctx);
+      r1 = shared.solve(b1, x1, ctx, opt.gmres);
     });
     std::thread t2([&] {
       SchurSolver::SolveContext ctx;
-      r2 = shared.solve(b2, x2, ctx);
+      r2 = shared.solve(b2, x2, ctx, opt.gmres);
     });
     t1.join();
     t2.join();
@@ -466,7 +468,7 @@ TEST(ServeConcurrentSolve, ConstMultiMatchesMemberSolve) {
   SchurSolver::SolveContext ctx;
   std::vector<value_t> x_const(a.rows * nrhs, 0.0);
   const SchurSolver& shared = solver;
-  auto r_const = shared.solve_multi(b, x_const, nrhs, ctx);
+  auto r_const = shared.solve_multi(b, x_const, nrhs, ctx, opt.gmres);
 
   ASSERT_EQ(r_member.size(), r_const.size());
   for (std::size_t j = 0; j < r_member.size(); ++j) {
@@ -670,6 +672,63 @@ TEST(ServeService, BatchedAnswersMatchIndividualSolves) {
                              r.x.size() * sizeof(value_t)))
         << "batched answer differs from the individually-solved answer";
   }
+}
+
+TEST(ServeService, CacheHitRunsTheRequestsOwnGmresOptions) {
+  // GMRES options are not part of the cache key, so a setup built for one
+  // request serves others whose GMRES options differ; each must still be
+  // solved under its own.
+  auto a = std::make_shared<const CsrMatrix>(testing::grid_laplacian(20, 20));
+  SolverOptions opt = small_options();
+  opt.assembly.drop_s = 1e-2;  // inexact S̃: GMRES needs several iterations
+  SolverOptions capped = opt;
+  capped.gmres.max_iterations = 2;
+  serve::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.enable_batching = false;
+  {
+    SolveService service(cfg);
+    const auto cold = service.solve(make_request(a, capped, 1, 51));
+    EXPECT_FALSE(cold.cache_hit);
+    EXPECT_NE(cold.status, ServeStatus::Ok);
+    const auto hit = service.solve(make_request(a, opt, 1, 52));
+    EXPECT_TRUE(hit.cache_hit);
+    EXPECT_EQ(hit.status, ServeStatus::Ok) << hit.detail;
+    ASSERT_EQ(hit.columns.size(), 1u);
+    EXPECT_GT(hit.columns[0].iterations, 2);
+  }
+  {
+    SolveService service(cfg);
+    const auto cold = service.solve(make_request(a, opt, 1, 51));
+    EXPECT_EQ(cold.status, ServeStatus::Ok) << cold.detail;
+    const auto hit = service.solve(make_request(a, capped, 1, 52));
+    EXPECT_TRUE(hit.cache_hit);
+    EXPECT_EQ(hit.status, ServeStatus::Failed) << hit.detail;
+    ASSERT_EQ(hit.columns.size(), 1u);
+    EXPECT_LE(hit.columns[0].iterations, 2);
+  }
+}
+
+TEST(ServeService, BatchesOnlyRequestsWithEqualSolveOptions) {
+  auto a = std::make_shared<const CsrMatrix>(testing::grid_laplacian(8, 8));
+  const SolverOptions opt = small_options();
+  SolverOptions looser = opt;
+  looser.gmres.rel_tolerance = 1e-6;
+  std::deque<serve::PendingRequest> queue;
+  for (const SolverOptions& o : {opt, looser, opt}) {
+    serve::PendingRequest pr;
+    pr.req = make_request(a, o, 1, 60);
+    pr.key = SetupKey{serve::fingerprint_of(*a), serve::setup_options_hash(o)};
+    queue.push_back(std::move(pr));
+  }
+  ASSERT_EQ(queue[0].key, queue[1].key) << "GMRES options must share a setup";
+
+  const serve::Batch batch = serve::take_batch(queue, serve::BatcherConfig{});
+  ASSERT_EQ(batch.requests.size(), 2u);
+  EXPECT_EQ(batch.requests[1].req.opt.gmres.rel_tolerance,
+            opt.gmres.rel_tolerance);
+  ASSERT_EQ(queue.size(), 1u);
+  EXPECT_EQ(queue.front().req.opt.gmres.rel_tolerance, 1e-6);
 }
 
 TEST(ServeService, StopDrainsQueuedDeterministically) {

@@ -3,43 +3,15 @@
 // Usage:
 //   pdslin --matrix tdr190k [--scale 1.0]          (suite analogue)
 //   pdslin --matrix path/to/A.mtx                  (Matrix Market file)
-// Options:
-//   --method RHB|NGD          partitioner                    [RHB]
-//   --metric con1|cnet|soed   RHB cut metric                 [soed]
-//   --constraints 1|2         single (w1) / multi (w1,w2)    [1]
-//   --static-weights          disable RHB dynamic weights
-//   -k N                      number of subdomains (power of 2) [8]
-//   --epsilon X               partition balance tolerance     [0.05]
-//   --partition-engine E      auto|multilevel|geometric       [auto]
-//   --partition-budget-ms X   partition latency budget (0 = unlimited;
-//                             exhausted budget degrades remaining subtrees
-//                             to the geometric/streaming fallback)    [0]
-//   --partition-min-quality Q fraction of top bisection levels immune to
-//                             budget degradation               [0]
-//   --partition-values M      off|abs|logabs — weight hyperedges/graph
-//                             edges by bucketed |a_ij| magnitudes  [off]
-//   --rhs-ordering natural|postorder|hypergraph               [postorder]
-//   --block-size B            multi-RHS block size            [60]
-//   --drop-wg X / --drop-s X  dropping thresholds             [1e-6 / 1e-5]
-//   --lu-kernel scalar|panel  LU factorization kernel         [panel]
-//   --lu-panel-width W        panel width cap (0 = unlimited) [32]
-//   --lu-panel-relax X        relaxed-amalgamation padding    [0.25]
-//   --trisolve serial|levelset triangular-solve engine         [serial]
-//                             (levelset = level-scheduled parallel solves
-//                             inside one L/U solve, bitwise == serial)
-//   --trisolve-threads N      workers per level-set solve
-//                             [inner-threads]
+// Solver options: the flags of the SolverOptions table in
+// src/core/options.hpp (visit_options), the source of truth for their
+// spellings, values and report keys; README.md lists them. A malformed
+// value, an unknown flag or a missing value ends in "pdslin: <message>"
+// and exit 2.
+// Tool flags:
 //   --nrhs N                  right-hand sides solved as one batch      [1]
 //                             (one operator/preconditioner/workspace set
 //                             shared across the columns)
-//   --threads N               outer threads: concurrent subdomain tasks [1]
-//   --inner-threads M         inner workers per subdomain task          [1]
-//                             (two-level budget np = N × M, mirroring the
-//                             paper's k subdomain groups of np/k processors;
-//                             M parallelizes the multi-RHS solves, the T̃
-//                             SpGEMM and the drop sweeps — results are
-//                             bitwise independent of N and M)
-//   --seed N                  RNG seed                        [1]
 //   --verbose                 info-level logging
 // Observability (docs/OBSERVABILITY.md):
 //   --trace-out FILE          record spans, write Chrome trace JSON to FILE
@@ -49,12 +21,12 @@
 //                             output; "1" records without writing)
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "core/options.hpp"
 #include "core/schur_solver.hpp"
 #include "gen/suite.hpp"
 #include "obs/report.hpp"
@@ -69,12 +41,6 @@ using namespace pdslin;
 
 namespace {
 
-[[noreturn]] void usage(const char* msg) {
-  std::fprintf(stderr, "pdslin: %s\n(see the header of tools/pdslin_cli.cpp "
-                       "for usage)\n", msg);
-  std::exit(2);
-}
-
 int run(int argc, char** argv) {
   obs::label_this_thread("main");
   std::string matrix;
@@ -82,116 +48,29 @@ int run(int argc, char** argv) {
   std::string report_out;
   double scale = 1.0;
   index_t nrhs = 1;
-  unsigned trisolve_threads = 0;  // 0 → follow --inner-threads
-  SolverOptions opt;
-  opt.partitioning = PartitionMethod::RHB;
-  opt.metric = CutMetric::Soed;
-  opt.num_subdomains = 8;
-  opt.partition_epsilon = 0.05;
-  opt.assembly.drop_wg = 1e-6;
-  opt.assembly.drop_s = 1e-5;
-  opt.assembly.rhs_ordering = RhsOrdering::Postorder;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
-      return argv[++i];
-    };
-    if (arg == "--matrix") {
-      matrix = next();
-    } else if (arg == "--scale") {
-      scale = std::atof(next());
-    } else if (arg == "--method") {
-      const std::string v = next();
-      if (v == "RHB") {
-        opt.partitioning = PartitionMethod::RHB;
-      } else if (v == "NGD") {
-        opt.partitioning = PartitionMethod::NGD;
-      } else {
-        usage("unknown --method");
-      }
-    } else if (arg == "--metric") {
-      const std::string v = next();
-      if (v == "con1") opt.metric = CutMetric::Con1;
-      else if (v == "cnet") opt.metric = CutMetric::CutNet;
-      else if (v == "soed") opt.metric = CutMetric::Soed;
-      else usage("unknown --metric");
-    } else if (arg == "--constraints") {
-      opt.constraints = std::atoi(next()) >= 2 ? RhbConstraintMode::MultiW1W2
-                                               : RhbConstraintMode::SingleW1;
-    } else if (arg == "--static-weights") {
-      opt.rhb_dynamic_weights = false;
-    } else if (arg == "-k") {
-      opt.num_subdomains = static_cast<index_t>(std::atoi(next()));
-    } else if (arg == "--epsilon") {
-      opt.partition_epsilon = std::atof(next());
-    } else if (arg == "--partition-engine") {
-      const std::string v = next();
-      if (!partition::engine_from_string(v, opt.partition_engine)) {
-        usage("unknown --partition-engine (auto|multilevel|geometric)");
-      }
-    } else if (arg == "--partition-budget-ms") {
-      opt.partition_budget_ms = std::atof(next());
-    } else if (arg == "--partition-min-quality") {
-      opt.partition_min_quality = std::atof(next());
-    } else if (arg == "--partition-values") {
-      const std::string v = next();
-      if (!partition::value_mode_from_string(v, opt.partition_values)) {
-        usage("unknown --partition-values (off|abs|logabs)");
-      }
-    } else if (arg == "--rhs-ordering") {
-      const std::string v = next();
-      if (v == "natural") opt.assembly.rhs_ordering = RhsOrdering::Natural;
-      else if (v == "postorder") opt.assembly.rhs_ordering = RhsOrdering::Postorder;
-      else if (v == "hypergraph") opt.assembly.rhs_ordering = RhsOrdering::Hypergraph;
-      else usage("unknown --rhs-ordering");
-    } else if (arg == "--block-size") {
-      opt.assembly.rhs_block_size = static_cast<index_t>(std::atoi(next()));
-    } else if (arg == "--drop-wg") {
-      opt.assembly.drop_wg = std::atof(next());
-    } else if (arg == "--drop-s") {
-      opt.assembly.drop_s = std::atof(next());
-    } else if (arg == "--lu-kernel") {
-      const std::string k = next();
-      if (k == "scalar") opt.assembly.lu.kernel = LuKernel::Scalar;
-      else if (k == "panel") opt.assembly.lu.kernel = LuKernel::Panel;
-      else usage("unknown --lu-kernel (scalar|panel)");
-    } else if (arg == "--lu-panel-width") {
-      opt.assembly.lu.panel_max_width =
-          static_cast<index_t>(std::atoi(next()));
-    } else if (arg == "--lu-panel-relax") {
-      opt.assembly.lu.panel_relax = std::atof(next());
-    } else if (arg == "--nrhs") {
-      nrhs = static_cast<index_t>(std::atoi(next()));
-      if (nrhs < 1) usage("--nrhs must be >= 1");
-    } else if (arg == "--threads") {
-      opt.threads = static_cast<unsigned>(std::atoi(next()));
-    } else if (arg == "--inner-threads") {
-      opt.assembly.inner_threads = static_cast<unsigned>(std::atoi(next()));
-    } else if (arg == "--trisolve") {
-      const std::string k = next();
-      if (k == "serial") opt.assembly.trisolve.scheduler = TrisolveScheduler::Serial;
-      else if (k == "levelset") opt.assembly.trisolve.scheduler = TrisolveScheduler::LevelSet;
-      else usage("unknown --trisolve (serial|levelset)");
-    } else if (arg == "--trisolve-threads") {
-      trisolve_threads = static_cast<unsigned>(std::atoi(next()));
-    } else if (arg == "--seed") {
-      opt.seed = static_cast<std::uint64_t>(std::strtoull(next(), nullptr, 10));
-    } else if (arg == "--verbose") {
-      set_log_level(LogLevel::Info);
-    } else if (arg == "--trace-out") {
-      trace_out = next();
-    } else if (arg == "--report-out") {
-      report_out = next();
-    } else {
-      usage(("unknown option " + arg).c_str());
-    }
-  }
-  if (matrix.empty()) usage("--matrix is required");
-  opt.assembly.trisolve.threads =
-      trisolve_threads != 0 ? trisolve_threads
-                            : std::max(1u, opt.assembly.inner_threads);
+  SolverOptions opt = tool_default_options();
+  parse_flags(std::vector<std::string>(argv + 1, argv + argc), opt,
+              [&](const std::string& flag,
+                  const std::function<std::string()>& value) {
+                if (flag == "--matrix") {
+                  matrix = value();
+                } else if (flag == "--scale") {
+                  parse_flag_value(flag, value(), scale);
+                } else if (flag == "--nrhs") {
+                  parse_flag_value(flag, value(), nrhs);
+                  if (nrhs < 1) throw UsageError("--nrhs must be >= 1");
+                } else if (flag == "--verbose") {
+                  set_log_level(LogLevel::Info);
+                } else if (flag == "--trace-out") {
+                  trace_out = value();
+                } else if (flag == "--report-out") {
+                  report_out = value();
+                } else {
+                  return false;
+                }
+                return true;
+              });
+  if (matrix.empty()) throw UsageError("--matrix is required");
 
   obs::trace_init_from_env();
   if (!trace_out.empty()) obs::trace_enable();
@@ -231,9 +110,9 @@ int run(int argc, char** argv) {
               st.partition_fallback_subtrees,
               st.partition_budget_exhausted ? ", budget exhausted" : "",
               st.partition_balance_ratio);
-  std::printf("balance (max/min over %d subdomains): dim(D)=%s nnz(D)=%s "
+  std::printf("balance (max/min over %zu subdomains): dim(D)=%s nnz(D)=%s "
               "col(E)=%s nnz(E)=%s\n",
-              opt.num_subdomains,
+              ps.dim_d.size(),
               format_ratio(max_over_min(std::span<const long long>(ps.dim_d))).c_str(),
               format_ratio(max_over_min(std::span<const long long>(ps.nnz_d))).c_str(),
               format_ratio(max_over_min(std::span<const long long>(ps.nnzcol_e))).c_str(),
@@ -280,12 +159,20 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Bad input (unreadable matrix, k not a power of two, a singular block)
-  // ends in a message and exit 1, never an uncaught-exception abort.
+  // A malformed command line ends in exit 2; bad input (unreadable matrix,
+  // k not a power of two, a singular block) in a message and exit 1, never
+  // an uncaught-exception abort.
   try {
     return run(argc, argv);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "pdslin: %s\n(see the header of "
+                         "tools/pdslin_cli.cpp for usage)\n", e.what());
+    return 2;
   } catch (const Error& e) {
     std::fprintf(stderr, "pdslin: %s\n", e.what());
+    if (!e.location().empty()) {
+      log_info("failed check: ", e.expression(), " at ", e.location());
+    }
     return 1;
   }
 }

@@ -19,7 +19,6 @@
 //   pdslin_fuzz --minimize --corpus-dir d   # shrink failures + write artifacts
 //   pdslin_fuzz --replay tests/corpus/x.json…   # re-run committed artifacts
 //   pdslin_fuzz --inject-bug schur-gather-off-by-one --seeds 50 --minimize
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -28,6 +27,7 @@
 #include "check/differential.hpp"
 #include "check/fault.hpp"
 #include "check/minimize.hpp"
+#include "core/options.hpp"
 #include "util/error.hpp"
 #include "util/timer.hpp"
 
@@ -63,67 +63,40 @@ void usage() {
       "  --quiet              only print failures and the summary line\n";
 }
 
-bool parse_args(int argc, char** argv, Args& a) {
+/// Throws UsageError on an unknown argument or a missing or malformed value.
+void parse_args(int argc, char** argv, Args& a) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&](const char* what) -> const char* {
-      if (i + 1 >= argc) {
-        std::cerr << "missing value for " << what << "\n";
-        return nullptr;
-      }
+    auto next = [&]() -> std::string {
+      if (i + 1 >= argc) throw UsageError("missing value for " + arg);
       return argv[++i];
     };
     if (arg == "--seeds") {
-      const char* v = next("--seeds");
-      if (v == nullptr) return false;
-      a.seeds = std::stoi(v);
+      parse_flag_value(arg, next(), a.seeds);
     } else if (arg == "--seed-base") {
-      const char* v = next("--seed-base");
-      if (v == nullptr) return false;
-      a.seed_base = std::stoull(v);
+      parse_flag_value(arg, next(), a.seed_base);
     } else if (arg == "--minimize") {
       a.minimize = true;
     } else if (arg == "--corpus-dir") {
-      const char* v = next("--corpus-dir");
-      if (v == nullptr) return false;
-      a.corpus_dir = v;
+      a.corpus_dir = next();
     } else if (arg == "--max-n") {
-      const char* v = next("--max-n");
-      if (v == nullptr) return false;
-      a.max_n = std::stoi(v);
+      parse_flag_value(arg, next(), a.max_n);
     } else if (arg == "--stop-after") {
-      const char* v = next("--stop-after");
-      if (v == nullptr) return false;
-      a.stop_after = std::stoi(v);
+      parse_flag_value(arg, next(), a.stop_after);
     } else if (arg == "--inject-bug") {
-      const char* v = next("--inject-bug");
-      if (v == nullptr) return false;
-      if (std::strcmp(v, "schur-gather-off-by-one") == 0) {
-        a.inject = Fault::SchurGatherOffByOne;
-      } else if (std::strcmp(v, "schur-drop-last-entry") == 0) {
-        a.inject = Fault::SchurDropLastEntry;
-      } else {
-        std::cerr << "unknown fault: " << v << "\n";
-        return false;
-      }
+      parse_flag_value(arg, next(), a.inject);
     } else if (arg == "--replay") {
       while (i + 1 < argc && argv[i + 1][0] != '-') a.replay.push_back(argv[++i]);
-      if (a.replay.empty()) {
-        std::cerr << "--replay needs at least one file\n";
-        return false;
-      }
+      if (a.replay.empty()) throw UsageError("--replay needs at least one file");
     } else if (arg == "--quiet") {
       a.quiet = true;
     } else if (arg == "--help" || arg == "-h") {
       usage();
       std::exit(0);
     } else {
-      std::cerr << "unknown argument: " << arg << "\n";
-      usage();
-      return false;
+      throw UsageError("unknown argument: " + arg);
     }
   }
-  return true;
 }
 
 struct Campaign {
@@ -177,7 +150,7 @@ void run_one(const Args& args, const CaseSpec& spec, Campaign& c) {
 
 int run(int argc, char** argv) {
   Args args;
-  if (!parse_args(argc, argv, args)) return 2;
+  parse_args(argc, argv, args);
   if (args.inject != Fault::None) inject_fault(args.inject);
 
   WallTimer timer;
@@ -215,10 +188,14 @@ int run(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // A malformed artifact or a driver-level failure ends in a message and
-  // exit 1, never an uncaught-exception abort.
+  // A malformed command line ends in exit 2; a malformed artifact or a
+  // driver-level failure in a message and exit 1, never an abort.
   try {
     return run(argc, argv);
+  } catch (const UsageError& e) {
+    std::cerr << "pdslin_fuzz: " << e.what() << "\n";
+    usage();
+    return 2;
   } catch (const Error& e) {
     std::cerr << "pdslin_fuzz: " << e.what() << "\n";
     return 1;

@@ -30,21 +30,25 @@
 //   --max-wait-ms X     batch hold-open window               [2]
 //   --requests N / --nrhs N / --scale X   built-in workload shape
 //   --threads N / --inner-threads M       solver thread budget per batch
+//                       (rows of the SolverOptions table, core/options.hpp;
+//                       the other solver options keep the tool defaults)
 //   --report-out FILE   write the RunReport JSON
 //   --verbose           info logging
+// A malformed value, an unknown flag or a missing value ends in
+// "pdslin_serve: <message>" and exit 2.
 // Prints per-status counts, solves/s, cache hit rate, mean batch width and
 // p50/p99 latency, and emits one "BENCH {json}" line.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <functional>
 #include <future>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "core/options.hpp"
 #include "gen/suite.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -59,12 +63,6 @@
 using namespace pdslin;
 
 namespace {
-
-[[noreturn]] void usage(const char* msg) {
-  std::fprintf(stderr, "pdslin_serve: %s\n(see the header of "
-                       "tools/pdslin_serve.cpp for usage)\n", msg);
-  std::exit(2);
-}
 
 const char* kExampleWorkload = R"({"requests": [
   {"matrix": "tdr190k", "scale": 0.4, "nrhs": 4, "repeat": 12},
@@ -144,78 +142,78 @@ int run(int argc, char** argv) {
   builtin.nrhs = 4;
   builtin.repeat = 16;
   serve::ServiceConfig cfg;
-  SolverOptions sopt;
-  sopt.assembly.drop_wg = 1e-6;
-  sopt.assembly.drop_s = 1e-5;
-  sopt.partition_epsilon = 0.05;
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
-      return argv[++i];
-    };
-    auto on_off = [&](const char* v) -> bool {
-      if (std::strcmp(v, "on") == 0) return true;
-      if (std::strcmp(v, "off") == 0) return false;
-      usage(("expected on|off for " + arg).c_str());
-    };
-    if (arg == "--workload") {
-      workload_file = next();
-    } else if (arg == "--write-example") {
-      const char* path = next();
-      std::ofstream out(path);
-      out << kExampleWorkload;
-      if (!out) usage("cannot write example workload");
-      std::printf("wrote example workload to %s\n", path);
-      return 0;
-    } else if (arg == "--matrix") {
-      builtin.matrix = next();
-    } else if (arg == "--scale") {
-      builtin.scale = std::atof(next());
-    } else if (arg == "--requests") {
-      builtin.repeat = std::atoi(next());
-    } else if (arg == "--nrhs") {
-      builtin.nrhs = static_cast<index_t>(std::atoi(next()));
-    } else if (arg == "--cache") {
-      cfg.enable_cache = on_off(next());
-    } else if (arg == "--batch") {
-      cfg.enable_batching = on_off(next());
-    } else if (arg == "--workers") {
-      cfg.workers = static_cast<unsigned>(std::atoi(next()));
-    } else if (arg == "--queue") {
-      cfg.queue_capacity = static_cast<std::size_t>(std::atoll(next()));
-    } else if (arg == "--capacity-mb") {
-      cfg.cache.capacity_bytes =
-          static_cast<std::size_t>(std::atoll(next())) << 20;
-    } else if (arg == "--max-batch") {
-      cfg.batcher.max_batch_nrhs = static_cast<index_t>(std::atoi(next()));
-    } else if (arg == "--max-wait-ms") {
-      cfg.batcher.max_wait_seconds = std::atof(next()) * 1e-3;
-    } else if (arg == "--threads") {
-      sopt.threads = static_cast<unsigned>(std::atoi(next()));
-    } else if (arg == "--inner-threads") {
-      sopt.assembly.inner_threads = static_cast<unsigned>(std::atoi(next()));
-    } else if (arg == "--report-out") {
-      report_out = next();
-    } else if (arg == "--verbose") {
-      set_log_level(LogLevel::Info);
-    } else {
-      usage(("unknown option " + arg).c_str());
-    }
+  SolverOptions sopt = tool_default_options();
+  std::string example_out;
+  // Only the thread budget comes from the SolverOptions table.
+  static constexpr std::string_view kSolverFlags[] = {"--threads",
+                                                      "--inner-threads"};
+  parse_flags(
+      std::vector<std::string>(argv + 1, argv + argc), sopt,
+      [&](const std::string& flag, const std::function<std::string()>& value) {
+        auto on_off = [&] {
+          const std::string v = value();
+          if (v != "on" && v != "off") {
+            throw UsageError("expected on|off for " + flag);
+          }
+          return v == "on";
+        };
+        if (flag == "--workload") {
+          workload_file = value();
+        } else if (flag == "--write-example") {
+          example_out = value();
+        } else if (flag == "--matrix") {
+          builtin.matrix = value();
+        } else if (flag == "--scale") {
+          parse_flag_value(flag, value(), builtin.scale);
+        } else if (flag == "--requests") {
+          parse_flag_value(flag, value(), builtin.repeat);
+        } else if (flag == "--nrhs") {
+          parse_flag_value(flag, value(), builtin.nrhs);
+        } else if (flag == "--cache") {
+          cfg.enable_cache = on_off();
+        } else if (flag == "--batch") {
+          cfg.enable_batching = on_off();
+        } else if (flag == "--workers") {
+          parse_flag_value(flag, value(), cfg.workers);
+        } else if (flag == "--queue") {
+          parse_flag_value(flag, value(), cfg.queue_capacity);
+        } else if (flag == "--capacity-mb") {
+          parse_flag_value(flag, value(), cfg.cache.capacity_bytes);
+          cfg.cache.capacity_bytes <<= 20;
+        } else if (flag == "--max-batch") {
+          parse_flag_value(flag, value(), cfg.batcher.max_batch_nrhs);
+        } else if (flag == "--max-wait-ms") {
+          parse_flag_value(flag, value(), cfg.batcher.max_wait_seconds);
+          cfg.batcher.max_wait_seconds *= 1e-3;
+        } else if (flag == "--report-out") {
+          report_out = value();
+        } else if (flag == "--verbose") {
+          set_log_level(LogLevel::Info);
+        } else {
+          return false;
+        }
+        return true;
+      },
+      kSolverFlags);
+  if (!example_out.empty()) {
+    std::ofstream out(example_out);
+    out << kExampleWorkload;
+    if (!out) throw UsageError("cannot write example workload");
+    std::printf("wrote example workload to %s\n", example_out.c_str());
+    return 0;
   }
 
   std::vector<WorkloadEntry> entries;
   if (!workload_file.empty()) {
     std::ifstream in(workload_file);
-    if (!in) usage("cannot open workload file");
+    if (!in) throw UsageError("cannot open workload file");
     std::stringstream ss;
     ss << in.rdbuf();
     entries = parse_workload(ss.str());
   } else {
     entries.push_back(builtin);
   }
-  if (entries.empty()) usage("workload has no requests");
+  if (entries.empty()) throw UsageError("workload has no requests");
 
   // Expand entries into requests up front so submission measures service
   // throughput, not generator time.
@@ -301,9 +299,11 @@ int run(int argc, char** argv) {
                          : 0.0;
 
     std::printf("\n%-10s %8s\n", "status", "count");
-    const char* names[] = {"ok", "degraded", "timeout", "rejected", "failed"};
     for (int s = 0; s < 5; ++s) {
-      if (by_status[s] > 0) std::printf("%-10s %8lld\n", names[s], by_status[s]);
+      if (by_status[s] > 0) {
+        std::printf("%-10s %8lld\n",
+                    to_string(static_cast<serve::ServeStatus>(s)), by_status[s]);
+      }
     }
     std::printf("\nwall %.3fs — %.1f solves/s (%lld rhs over %lld requests)\n",
                 seconds, solves_per_s, total_nrhs, st.completed);
@@ -356,6 +356,10 @@ int main(int argc, char** argv) {
   // 1, never an uncaught-exception abort.
   try {
     return run(argc, argv);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "pdslin_serve: %s\n(see the header of "
+                         "tools/pdslin_serve.cpp for usage)\n", e.what());
+    return 2;
   } catch (const Error& e) {
     std::fprintf(stderr, "pdslin_serve: %s\n", e.what());
     return 1;
